@@ -144,21 +144,9 @@ def is_convexity_structure(family: ConvexityFamily) -> bool:
     """Closure space plus stability of nested unions.
 
     A finite chain has a maximum, so its union is that maximum and the axiom
-    holds automatically for any finite closure space; rather than assume the
-    reduction silently, small instances re-verify it by enumerating every
-    inclusion-chain of members.
+    holds automatically for any finite closure space.
     """
-    result = is_closure_space(family)
-    if result and len(family.members) <= 12:
-        mem_list = list(family.members)
-        k = len(mem_list)
-        for mask in range(1, 1 << k):
-            chain = [mem_list[i] for i in range(k) if mask >> i & 1]
-            if all(a <= b or b <= a for a, b in combinations(chain, 2)):
-                union = frozenset().union(*chain)
-                if union not in family.members:  # unreachable for closure spaces
-                    return False
-    return result
+    return is_closure_space(family)
 
 
 def hull(family: ConvexityFamily, subset: Iterable[int]) -> frozenset[int]:

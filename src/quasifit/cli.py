@@ -16,14 +16,14 @@ import json
 import logging
 import os
 import sys
-from typing import Any, Sequence, TextIO
+from typing import Any, Sequence
 
 import numpy as np
 
 from . import axiomatic
 from .bisection import FitError, OracleFailure, fit
 from .expr import ExprError, parse
-from .grid import Grid, SampledFunction, sample
+from .grid import Grid, SampledFunction, sample, write_csv
 from .models import (
     BasisSpec,
     Coefficients,
@@ -109,16 +109,6 @@ def _as_vector(v, d: int) -> list[float]:
     return vec
 
 
-def _write_surface_csv(out: TextIO, points: np.ndarray, fvals: np.ndarray, gvals: np.ndarray) -> None:
-    d = points.shape[1]
-    header = [f"x{i + 1}" for i in range(d)] + ["f", "g", "residual"]
-    out.write(",".join(header) + "\n")
-    for k in range(points.shape[0]):
-        cells = [repr(float(c)) for c in points[k]]
-        cells += [repr(float(fvals[k])), repr(float(gvals[k])), repr(float(fvals[k] - gvals[k]))]
-        out.write(",".join(cells) + "\n")
-
-
 def _emit_error(code: int, kind: str, message: str) -> int:
     sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
     return code
@@ -160,6 +150,11 @@ def cmd_fit(config_path: str) -> int:
 
     gvals = evaluate_model_values(model, result.coefficients, sampled.points)
 
+    stored_surface = surface_path
+    if surface_path and not os.path.isabs(surface_path):
+        # relative to the result file, so `verify` finds it from any working directory
+        stored_surface = os.path.relpath(surface_path, os.path.dirname(result_path) or ".")
+
     certificate = None
     if sampled.dimension == 1:
         residuals = SampledFunction(sampled.points, sampled.values - gvals)
@@ -180,14 +175,15 @@ def cmd_fit(config_path: str) -> int:
         "iterations": result.iterations,
         "trace": [[entry.z, entry.feasible] for entry in result.trace],
         "certificate": certificate,
-        "surface_path": surface_path,
+        "surface_path": stored_surface,
     }
     with open(result_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if surface_path:
+        columns = {"f": sampled.values, "g": gvals, "residual": sampled.values - gvals}
         with open(surface_path, "w") as fh:
-            _write_surface_csv(fh, sampled.points, sampled.values, gvals)
+            write_csv(fh, sampled.points, columns)
     print(json.dumps({
         "achieved_deviation": result.achieved_deviation,
         "certified_bounds": [result.lower, result.upper],
@@ -208,7 +204,7 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
     if not surface_path:
         return _emit_error(EXIT_CONFIG, "input", "result has no surface_path; rerun fit with one")
     try:
-        with open(surface_path) as fh:
+        with open(os.path.join(os.path.dirname(result_path), surface_path)) as fh:
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:

@@ -17,9 +17,14 @@ must be integer literals, which keeps evaluation total on negative bases.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import length_hint
 from typing import Mapping, Union
+
+import numpy as np
 
 __all__ = [
     "Expression",
@@ -34,6 +39,7 @@ __all__ = [
     "EvaluationError",
     "parse",
     "evaluate",
+    "power",
     "to_source",
     "variables_of",
 ]
@@ -56,7 +62,14 @@ class UnknownVariableError(ExprSyntaxError):
 
 
 class EvaluationError(ExprError):
-    """Division by zero, unassigned variable, or overflow during evaluation."""
+    """Division by zero, unassigned variable, or overflow during evaluation.
+
+    `index` is the position of the offending point in an array evaluation.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -222,38 +235,82 @@ def parse(source: str, variables: list[str]) -> Expression:
     return _Parser(source, list(variables)).parse()
 
 
-def evaluate(expr: Expression, point: Mapping[str, float]) -> float:
-    """Evaluate an expression at an assignment of reals to variable names."""
+def evaluate(expr: Expression, point: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+    """Evaluate an expression at one point or at many.
+
+    `point` maps each variable name to a real, or to a 1-D array holding that
+    coordinate of every point (all of equal length).  Each tree node is one
+    array operation over all points; a point of reals is the one-point case
+    and gives a float.  Errors carry the index of the first point at which
+    evaluation fails.
+    """
+    columns = {name: np.asarray(v, dtype=float) for name, v in point.items()}
+    shapes = {c.shape for c in columns.values()} or {()}
+    if len(shapes) > 1 or any(len(s) > 1 for s in shapes):
+        raise ValueError("point values must be reals or 1-D arrays of equal length")
+    (shape,) = shapes
+    columns = {name: c.reshape(-1) for name, c in columns.items()}
+    with np.errstate(all="ignore"):  # inf and nan propagate as in float arithmetic
+        try:
+            out = _node(expr, columns, math.prod(shape))
+        except EvaluationError as exc:
+            # a node evaluated later may fail at an earlier point: look there first
+            if exc.index:
+                evaluate(expr, {name: c[: exc.index] for name, c in columns.items()})
+            raise
+    if not shape:
+        return float(out[0])
+    return out.copy() if isinstance(expr, Var) else out
+
+
+def _node(expr: Expression, columns: dict[str, np.ndarray], size: int) -> np.ndarray:
     if isinstance(expr, Const):
-        return expr.value
+        return np.full(size, expr.value)
     if isinstance(expr, Var):
         try:
-            return float(point[expr.name])
+            return columns[expr.name]
         except KeyError:
             raise EvaluationError(f"variable {expr.name!r} is not assigned") from None
     if isinstance(expr, Neg):
-        return -evaluate(expr.arg, point)
+        return -_node(expr.arg, columns, size)
     if isinstance(expr, BinOp):
-        a = evaluate(expr.left, point)
-        b = evaluate(expr.right, point)
+        a = _node(expr.left, columns, size)
+        b = _node(expr.right, columns, size)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
             return a - b
         if expr.op == "*":
             return a * b
-        if b == 0.0:
-            raise EvaluationError("division by zero")
+        _raise_at(b == 0.0, "division by zero")
         return a / b
     if isinstance(expr, Pow):
-        base = evaluate(expr.base, point)
-        if expr.exponent < 0 and base == 0.0:
-            raise EvaluationError("division by zero")
-        try:
-            return float(base**expr.exponent)
-        except OverflowError:
-            raise EvaluationError("overflow in power") from None
+        base = _node(expr.base, columns, size)
+        if expr.exponent < 0:
+            _raise_at(base == 0.0, "division by zero")
+        return power(base, expr.exponent)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _raise_at(mask: np.ndarray, message: str) -> None:
+    if mask.any():
+        raise EvaluationError(message, int(np.argmax(mask)))
+
+
+def power(base: float | np.ndarray, exponent: float) -> np.ndarray:
+    """base ** exponent element by element through libm pow.
+
+    This is the pow that Python's float ** calls.  numpy's SIMD power can
+    differ from it in the last bit, which would move fitted coefficients.
+    """
+    base = np.asarray(base, dtype=float)
+    rest = iter(base.reshape(-1))
+    try:
+        out = np.fromiter(map(math.pow, rest, repeat(float(exponent))), float, base.size)
+    except OverflowError:
+        # the failing element is the last one the iterator handed out
+        raise EvaluationError("overflow in power", max(0, base.size - length_hint(rest) - 1)) from None
+    return out.reshape(base.shape)
 
 
 _PREC_SUM = 0

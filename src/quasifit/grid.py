@@ -8,13 +8,13 @@ per-axis lower/upper bounds and step sizes, with both endpoints included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .expr import EvaluationError, Expression, evaluate
 
-__all__ = ["Grid", "SampledFunction", "enumerate_points", "sample", "export_csv"]
+__all__ = ["Grid", "SampledFunction", "enumerate_points", "sample", "export_csv", "write_csv"]
 
 
 @dataclass(frozen=True)
@@ -117,24 +117,25 @@ def sample(f: Expression, grid: Grid, variables: Sequence[str]) -> SampledFuncti
             f"expression has {len(variables)} variables but grid has dimension {grid.dimension}"
         )
     pts = enumerate_points(grid)
-    names = list(variables)
-    values = np.empty(pts.shape[0], dtype=float)
-    for k in range(pts.shape[0]):
-        env = dict(zip(names, pts[k]))
-        try:
-            v = evaluate(f, env)
-        except EvaluationError as exc:
-            raise EvaluationError(f"{exc} at point {tuple(pts[k])}") from exc
-        if not np.isfinite(v):
-            raise EvaluationError(f"non-finite value {v} at point {tuple(pts[k])}")
-        values[k] = v
+    try:
+        values = evaluate(f, dict(zip(variables, pts.T)))
+    except EvaluationError as exc:
+        raise EvaluationError(f"{exc} at point {tuple(map(float, pts[exc.index]))}", exc.index) from exc
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EvaluationError(f"non-finite value {values[k]} at point {tuple(map(float, pts[k]))}", k)
     return SampledFunction(pts, values, grid)
 
 
 def export_csv(sf: SampledFunction, out: TextIO) -> None:
     """One row per point, columns x1..xd,f."""
-    d = sf.dimension
-    out.write(",".join([f"x{i + 1}" for i in range(d)] + ["f"]) + "\n")
-    for k in range(len(sf)):
-        coords = [repr(float(c)) for c in sf.points[k]]
-        out.write(",".join(coords + [repr(float(sf.values[k]))]) + "\n")
+    write_csv(out, sf.points, {"f": sf.values})
+
+
+def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]) -> None:
+    """One row per point: coordinates x1..xd, then the named value columns."""
+    out.write(",".join([f"x{i + 1}" for i in range(points.shape[1])] + list(columns)) + "\n")
+    cells = [map(repr, map(float, col)) for col in [*points.T, *columns.values()]]
+    for row in zip(*cells):
+        out.write(",".join(row) + "\n")

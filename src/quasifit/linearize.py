@@ -16,14 +16,13 @@ a single relaxation variable u added to the slack side of every level row:
 the polytope is nonempty exactly when the optimum satisfies u* <= 0.
 
 Denominator positivity rows  -B.H(x) <= -delta  define the model's domain
-rather than the level set, so the decision oracle keeps them hard; an
-optional diagnostic variant relaxes them too.
+rather than the level set, so the decision oracle keeps them hard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -70,23 +69,12 @@ class LinearProgram:
         return self.rows.shape[0]
 
 
-def build_feasibility_lp(
-    model: ModelClass,
-    f: SampledFunction,
-    z: float,
-    extra_rows: Sequence[tuple[Sequence[float], float]] | None = None,
-    relax_positivity: bool = False,
-) -> LinearProgram:
+def build_feasibility_lp(model: ModelClass, f: SampledFunction, z: float) -> LinearProgram:
     """The level-z emptiness LP over the free coefficients plus the slack u.
 
     Row order is deterministic: grid points in enumeration order, and within
     a point the upper level row, the lower level row, then (rational models)
-    the denominator positivity row.  `extra_rows` are user constraints over
-    the free coefficients, appended verbatim with a zero u column.
-
-    With `relax_positivity` the positivity rows get the u relaxation too;
-    that variant only serves infeasibility diagnosis, never the bisection
-    oracle.
+    the denominator positivity row.
     """
     if z < 0:
         raise ValueError("level z must be nonnegative")
@@ -99,9 +87,8 @@ def build_feasibility_lp(
     n_vars = n_free + 1  # trailing u
     names = tuple(model.coefficient_names() + ["u"])
 
-    inv = model.outer.inverse
-    hi = np.array([inv(v + z) for v in f.values])
-    lo = np.array([inv(v - z) for v in f.values])
+    hi = model.outer.inverse(f.values + z)
+    lo = model.outer.inverse(f.values - z)
 
     if model.denominator is None:
         rows = np.zeros((2 * n_pts, n_vars))
@@ -131,25 +118,9 @@ def build_feasibility_lp(
         rows[1::3, n_g:n_free] = lo[:, None] * h_free
         rows[1::3, -1] = -1.0
         rhs[1::3] = -lo * den_fixed
-        # -B.H(x) <= -delta  (hard unless diagnosing infeasibility)
+        # -B.H(x) <= -delta, kept hard: it defines the model's domain
         rows[2::3, n_g:n_free] = -h_free
-        if relax_positivity:
-            rows[2::3, -1] = -1.0
         rhs[2::3] = den_fixed - model.delta
-
-    if extra_rows:
-        add = np.zeros((len(extra_rows), n_vars))
-        add_rhs = np.zeros(len(extra_rows))
-        for i, (coeffs, bound) in enumerate(extra_rows):
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape[0] != n_free:
-                raise ValueError(
-                    f"extra row {i} must have {n_free} coefficient entries, got {coeffs.shape[0]}"
-                )
-            add[i, :n_free] = coeffs
-            add_rhs[i] = bound
-        rows = np.vstack([rows, add])
-        rhs = np.concatenate([rhs, add_rhs])
 
     objective = np.zeros(n_vars)
     objective[-1] = 1.0

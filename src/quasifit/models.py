@@ -15,13 +15,12 @@ can be pulled back through phi inverse when the fit is linearised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .expr import Expression, evaluate, parse, to_source
+from .expr import Expression, evaluate, parse, power, to_source
 
 __all__ = [
     "BasisSpec",
@@ -41,18 +40,16 @@ class DenominatorPositivityError(ValueError):
     """Denominator dropped below the positivity margin at some point."""
 
     def __init__(self, point, value: float, delta: float):
-        super().__init__(
-            f"denominator value {value} is below the margin {delta} at point {tuple(point)}"
-        )
-        self.point = tuple(point)
+        self.point = tuple(map(float, point))
         self.value = value
+        super().__init__(f"denominator value {value} is below the margin {delta} at point {self.point}")
 
 
 class InfeasibleInitialCoefficientsError(ValueError):
     """Default initialisation violates denominator positivity; carries the failing points."""
 
     def __init__(self, failing_points):
-        pts = [tuple(p) for p in failing_points]
+        pts = [tuple(map(float, p)) for p in failing_points]
         super().__init__(
             f"default denominator coefficients are infeasible at {len(pts)} point(s), "
             f"e.g. {pts[0]}; supply explicit starting coefficients"
@@ -106,15 +103,17 @@ class MonotoneOuter:
     def odd_power(cls, p: int) -> "MonotoneOuter":
         return cls("odd_power", p)
 
-    def forward(self, t: float) -> float:
-        if self.kind == "identity":
-            return float(t)
-        return float(t) ** self.power
+    def forward(self, t: float | np.ndarray) -> np.ndarray:
+        """phi elementwise; odd powers use numpy's power."""
+        t = np.asarray(t, dtype=float)
+        return t if self.kind == "identity" else t**self.power
 
-    def inverse(self, s: float) -> float:
+    def inverse(self, s: float | np.ndarray) -> np.ndarray:
+        """phi inverse elementwise; odd roots use libm pow, as Python's float ** does."""
+        s = np.asarray(s, dtype=float)
         if self.kind == "identity":
-            return float(s)
-        return math.copysign(abs(float(s)) ** (1.0 / self.power), s)
+            return s
+        return np.copysign(power(np.abs(s), 1.0 / self.power), s)
 
 
 @dataclass(frozen=True)
@@ -211,49 +210,33 @@ def _check_shapes(model: ModelClass, coeffs: Coefficients) -> None:
 def basis_matrix(basis: BasisSpec, variables: Sequence[str], points: np.ndarray) -> np.ndarray:
     """Evaluate every basis function at every point: (N, len(basis)) array."""
     pts = np.atleast_2d(points)
-    names = list(variables)
+    columns = dict(zip(variables, pts.T))
     out = np.empty((pts.shape[0], len(basis)), dtype=float)
-    for k in range(pts.shape[0]):
-        env = dict(zip(names, pts[k]))
-        for j, fn in enumerate(basis.functions):
-            out[k, j] = evaluate(fn, env)
+    for j, fn in enumerate(basis.functions):
+        out[:, j] = evaluate(fn, columns)
     if not np.all(np.isfinite(out)):
         raise ValueError("basis function evaluated to a non-finite value on the domain")
     return out
 
 
 def evaluate_model(model: ModelClass, coeffs: Coefficients, point: Sequence[float]) -> float:
-    """g(A, x) at a single point; errors if the denominator dips below delta."""
-    _check_shapes(model, coeffs)
-    env = dict(zip(model.variables, [float(v) for v in point]))
-    num = sum(a * evaluate(fn, env) for a, fn in zip(coeffs.numerator, model.numerator.functions))
-    if model.denominator is None:
-        return model.outer.forward(num)
-    den = sum(b * evaluate(fn, env) for b, fn in zip(coeffs.denominator, model.denominator.functions))
-    if den < model.delta * (1.0 - 1e-9) - 1e-12:
-        raise DenominatorPositivityError(point, den, model.delta)
-    return model.outer.forward(num / den)
+    """g(A, x) at a single point: the one-row case of `evaluate_model_values`."""
+    return float(evaluate_model_values(model, coeffs, np.array([point], dtype=float))[0])
 
 
 def evaluate_model_values(model: ModelClass, coeffs: Coefficients, points: np.ndarray) -> np.ndarray:
-    """g(A, x) over an (N, d) point array, in order."""
+    """g(A, x) over an (N, d) point array; errors if the denominator dips below delta."""
     _check_shapes(model, coeffs)
     pts = np.atleast_2d(points)
-    gmat = basis_matrix(model.numerator, model.variables, pts)
-    num = gmat @ np.asarray(coeffs.numerator)
-    if model.denominator is None:
-        r = num
-    else:
-        hmat = basis_matrix(model.denominator, model.variables, pts)
-        den = hmat @ np.asarray(coeffs.denominator)
+    r = basis_matrix(model.numerator, model.variables, pts) @ np.asarray(coeffs.numerator)
+    if model.denominator is not None:
+        den = basis_matrix(model.denominator, model.variables, pts) @ np.asarray(coeffs.denominator)
         bad = den < model.delta * (1.0 - 1e-9) - 1e-12
         if np.any(bad):
             k = int(np.argmax(bad))
             raise DenominatorPositivityError(pts[k], float(den[k]), model.delta)
-        r = num / den
-    if model.outer.kind == "identity":
-        return r
-    return r**model.outer.power
+        r = r / den
+    return model.outer.forward(r)
 
 
 def default_initial_coefficients(model: ModelClass, points: np.ndarray | None = None) -> Coefficients:

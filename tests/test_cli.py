@@ -233,6 +233,45 @@ def test_verify_degree_one_from_crafted_surface(tmp_path, capsys):
     assert report["verdict"] == "optimal"
 
 
+def _fit_with_relative_outputs(directory, result_path, surface_path):
+    config = {
+        "variables": ["x"],
+        "target": "x^2",
+        "grid": {"lower": -1.0, "upper": 1.0, "step": 0.05},
+        "model": {"outer": "identity", "numerator_basis": ["1"]},
+        "output": {"result_path": result_path, "surface_path": surface_path},
+    }
+    (directory / "c.json").write_text(json.dumps(config))
+    assert cli.main(["fit", "c.json"]) == 0
+
+
+def test_verify_finds_surface_from_another_directory(tmp_path, monkeypatch, capsys):
+    # fit in a/ with both outputs there, then verify a/r.json from the parent
+    (tmp_path / "a").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    _fit_with_relative_outputs(tmp_path / "a", "r.json", "s.csv")
+    assert json.loads((tmp_path / "a" / "r.json").read_text())["surface_path"] == "s.csv"
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["verify", "a/r.json", "--n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "optimal"
+
+
+def test_verify_finds_surface_written_to_a_subdirectory(tmp_path, monkeypatch, capsys):
+    # both outputs under out/: the result stores the surface relative to itself
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    _fit_with_relative_outputs(tmp_path, "out/r.json", "out/s.csv")
+    result = json.loads((tmp_path / "out" / "r.json").read_text())
+    assert result["surface_path"] == "s.csv"
+    assert result["config"]["output"]["surface_path"] == "out/s.csv"
+    capsys.readouterr()
+    assert cli.main(["verify", "out/r.json", "--n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "optimal"
+    monkeypatch.chdir(tmp_path / "out")
+    assert cli.main(["verify", "r.json", "--n", "0"]) == 0
+
+
 def test_convexity_check_power_set(tmp_path, capsys):
     family = tmp_path / "power.txt"
     members = ["{}"]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,3 +179,49 @@ def test_reprinted_expression_evaluates_identically(e, x, y, z):
     if not math.isfinite(expected):
         return
     assert evaluate(parse(to_source(e), ["x", "y", "z"]), env) == expected
+
+
+def _same_float(a, b):
+    # bitwise up to NaN payloads: equal values with equal signs, or both NaN
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_coords = st.floats(-3, 3)
+
+
+# up to 64 points, so that numpy's SIMD loops run: there its own power differs from libm's
+@given(_expressions(), st.lists(st.tuples(_coords, _coords, _coords), min_size=1, max_size=64))
+def test_array_evaluation_matches_naive_recursion_per_point(e, points):
+    columns = {name: np.array(col) for name, col in zip("xyz", zip(*points))}
+    try:
+        expected = [_naive_eval(e, dict(zip("xyz", p))) for p in points]
+    except OverflowError:
+        with pytest.raises(EvaluationError):
+            evaluate(e, columns)
+        return
+    got = evaluate(e, columns)
+    assert isinstance(got, np.ndarray) and got.shape == (len(points),)
+    assert all(_same_float(g, want) for g, want in zip(got.tolist(), expected))
+
+
+def test_array_evaluation_errors_name_the_first_failing_index():
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse("1 / x", ["x"]), {"x": np.array([1.0, 0.0, 0.0])})
+    assert err.value.index == 1
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse("x^-2", ["x"]), {"x": np.array([1.0, 2.0, -0.0])})
+    assert err.value.index == 2
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse("x^3", ["x"]), {"x": np.array([1.0, 1e200, 2e200])})
+    assert str(err.value) == "overflow in power" and err.value.index == 1
+
+
+def test_array_evaluation_of_constants_and_bare_variables():
+    x = np.array([1.0, 2.0])
+    assert np.array_equal(evaluate(parse("2", ["x"]), {"x": x}), [2.0, 2.0])
+    out = evaluate(parse("x", ["x"]), {"x": x})
+    assert np.array_equal(out, x) and out is not x
+    with pytest.raises(ValueError):
+        evaluate(parse("x + y", ["x", "y"]), {"x": x, "y": np.zeros(3)})

@@ -95,7 +95,33 @@ def test_sample_propagates_evaluation_error_with_point():
     g = Grid((-1.0,), (1.0,), (1.0,))
     with pytest.raises(EvaluationError) as err:
         sample(parse("1/x", ["x"]), g, ["x"])
-    assert "0.0" in str(err.value)
+    assert str(err.value) == "division by zero at point (0.0,)"
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize(
+    "source, grid, message",
+    [
+        ("x^-1", Grid((-1.0,), (1.0,), (0.5,)), "division by zero at point (0.0,)"),
+        ("1/(x - y)", Grid((0.0, 0.0), (2.0, 2.0), (1.0, 1.0)), "division by zero at point (0.0, 0.0)"),
+        # 1/(x - 1) fails first in evaluation order, 1/x first in point order
+        ("1/(x - 1) + 1/x", Grid((-1.0,), (1.0,), (1.0,)), "division by zero at point (0.0,)"),
+        # 5^400 is finite, 6^400 overflows: the first overflowing point is named
+        ("x^400", Grid((0.0,), (10.0,), (1.0,)), "overflow in power at point (6.0,)"),
+    ],
+)
+def test_sample_names_first_failing_point(source, grid, message):
+    variables = ["x", "y"][: grid.dimension]
+    with pytest.raises(EvaluationError) as err:
+        sample(parse(source, variables), grid, variables)
+    assert str(err.value) == message
+
+
+def test_sample_names_first_non_finite_point():
+    g = Grid((0.0,), (3.0,), (1.0,))
+    with pytest.raises(EvaluationError) as err:
+        sample(parse("1e300 * x^100", ["x"]), g, ["x"])
+    assert str(err.value) == "non-finite value inf at point (2.0,)"
 
 
 def test_point_cloud_constructor():

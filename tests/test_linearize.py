@@ -70,7 +70,7 @@ def test_cube_outer_level_rows_use_inverse():
     assert np.allclose(lp.rhs, [2.0, -2.0])
 
 
-def test_positivity_rows_hard_by_default_relaxed_on_request():
+def test_positivity_rows_are_hard():
     model = ModelClass(
         ("x",),
         MonotoneOuter.identity(),
@@ -84,8 +84,7 @@ def test_positivity_rows_hard_by_default_relaxed_on_request():
     # third row of the point block: -B.H(x) <= -delta with fixed part folded
     assert np.allclose(lp.rows[2], [0.0, -0.5, 0.0])
     assert lp.rhs[2] == pytest.approx(1.0 - 1e-3)
-    relaxed = build_feasibility_lp(model, f, 0.25, relax_positivity=True)
-    assert relaxed.rows[2, -1] == -1.0
+    assert lp.rows[2, -1] == 0.0
 
 
 def test_identity_rational_rows_match_premultiplied_form():
@@ -111,18 +110,6 @@ def test_identity_rational_rows_match_premultiplied_form():
 def test_rejects_negative_level():
     with pytest.raises(ValueError):
         build_feasibility_lp(_affine_model(), _two_point_samples(), -0.1)
-
-
-def test_extra_rows_appended_verbatim():
-    lp = build_feasibility_lp(
-        _affine_model(), _two_point_samples(), 0.5, extra_rows=[([0.0, 1.0], -0.5)]
-    )
-    assert lp.rows.shape[0] == 5
-    assert np.allclose(lp.rows[-1], [0.0, 1.0, 0.0])
-    assert lp.rhs[-1] == -0.5
-    # a2 <= -0.5 forces a1 >= 1 through the second sample, clashing with |a1| <= 0.5
-    assert solve(lp).objective > 0.0
-    assert solve(build_feasibility_lp(_affine_model(), _two_point_samples(), 0.5)).objective <= 0.0
 
 
 def test_soundness_of_feasible_oracle_solutions():

@@ -51,6 +51,7 @@ def test_denominator_below_margin_errors_with_point():
     with pytest.raises(DenominatorPositivityError) as err:
         evaluate_model(m, Coefficients((1.0,), (1.0,)), (-0.5,))
     assert err.value.point == (-0.5,)
+    assert str(err.value).endswith("at point (-0.5,)")
 
 
 def test_fixed_coefficient_must_match_exactly():
@@ -109,6 +110,7 @@ def test_default_initial_sign_changing_denominator_reports_points():
         default_initial_coefficients(m, enumerate_points(grid))
     failing = set(err.value.failing_points)
     assert (-1.0, 1.0) in failing and (1.0, -1.0) in failing
+    assert "e.g. (-1.0, 0.0);" in str(err.value)
 
 
 def test_vectorized_evaluation_matches_pointwise():
@@ -124,6 +126,22 @@ def test_vectorized_evaluation_matches_pointwise():
     vec = evaluate_model_values(m, coeffs, pts)
     for k in range(pts.shape[0]):
         assert vec[k] == pytest.approx(evaluate_model(m, coeffs, pts[k]), rel=1e-15)
+
+
+@given(
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.floats(-0.5, 0.5),
+)
+def test_single_point_evaluation_is_the_one_row_case(x, y, a, b):
+    m = ModelClass(
+        XY,
+        MonotoneOuter.odd_power(3),
+        _basis(["1", "x", "x*y"], XY),
+        _basis(["1", "y^2"], XY),
+        (0, 1.0),
+    )
+    coeffs = Coefficients(a, (1.0, b))
+    assert evaluate_model(m, coeffs, (x, y)) == evaluate_model_values(m, coeffs, [(x, y)])[0]
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6), st.sampled_from([1, 3, 5, 7]))
