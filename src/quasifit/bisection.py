@@ -22,7 +22,7 @@ import numpy as np
 from .grid import SampledFunction
 from .linearize import LinearProgram, build_feasibility_lp
 from .models import Coefficients, ModelClass, default_initial_coefficients, evaluate_model_values
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve
+from .simplex import INFEASIBLE, OPTIMAL, LpSolution, solve
 
 __all__ = ["FitResult", "TraceEntry", "FitError", "OracleFailure", "fit", "certify_bracket", "expected_iterations"]
 
@@ -44,7 +44,8 @@ class OracleFailure(FitError):
 class TraceEntry:
     z: float
     feasible: bool
-    lp_objective: float | None
+    lp_objective: float
+    pivots: int
 
 
 @dataclass
@@ -63,22 +64,19 @@ class FitResult:
 
 def _oracle(
     model: ModelClass, f: SampledFunction, z: float, lp_max_iterations: int | None = None
-) -> tuple[bool, Coefficients | None, float | None]:
+) -> tuple[bool, Coefficients | None, LpSolution]:
     """Decide level-z emptiness; when nonempty also return witness coefficients."""
     lp = build_feasibility_lp(model, f, z)
+    # u only ever relaxes the level rows, so a deeply feasible level could
+    # drive it to minus infinity; the floor u >= -1 keeps every level bounded
+    floor = np.zeros(lp.variable_count)
+    floor[-1] = -1.0
+    lp = LinearProgram(lp.objective, np.vstack([lp.rows, floor]), np.append(lp.rhs, 1.0), lp.names)
     sol = solve(lp, max_iterations=lp_max_iterations)
     if sol.status == OPTIMAL:
         if sol.objective <= 0.0:
-            return True, model.coefficients_from_free(sol.solution[:-1]), sol.objective
-        return False, None, sol.objective
-    if sol.status == UNBOUNDED:
-        # u only ever relaxes constraints, so an unbounded objective means
-        # points with u <= 0 exist; re-solve with a floor on u to extract one
-        bounded = _with_u_floor(lp)
-        sol2 = solve(bounded, max_iterations=lp_max_iterations)
-        if sol2.status != OPTIMAL or sol2.objective > 0.0:
-            raise OracleFailure(z, f"unbounded oracle could not be re-solved ({sol2.status})")
-        return True, model.coefficients_from_free(sol2.solution[:-1]), sol2.objective
+            return True, model.coefficients_from_free(sol.solution[:-1]), sol
+        return False, None, sol
     if sol.status == INFEASIBLE:
         # positivity rows do not depend on z and the start was feasible
         raise FitError(
@@ -86,17 +84,6 @@ def _oracle(
             "the feasible starting coefficients"
         )
     raise OracleFailure(z, sol.status)
-
-
-def _with_u_floor(lp: LinearProgram) -> LinearProgram:
-    row = np.zeros(lp.variable_count)
-    row[-1] = -1.0
-    return LinearProgram(
-        lp.objective,
-        np.vstack([lp.rows, row]),
-        np.concatenate([lp.rhs, [1.0]]),
-        lp.names,
-    )
 
 
 def fit(
@@ -120,8 +107,8 @@ def fit(
     trace: list[TraceEntry] = []
     while upper - lower > epsilon:
         z = 0.5 * (upper + lower)
-        feasible, coeffs, obj = _oracle(model, f, z, lp_max_iterations)
-        trace.append(TraceEntry(z, feasible, obj))
+        feasible, coeffs, sol = _oracle(model, f, z, lp_max_iterations)
+        trace.append(TraceEntry(z, feasible, sol.objective, sol.iterations))
         if feasible:
             upper = z
             best = coeffs

@@ -219,6 +219,14 @@ def basis_matrix(basis: BasisSpec, variables: Sequence[str], points: np.ndarray)
     return out
 
 
+def _combine(mat: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
+    """mat @ coeffs summed column by column, so a row rounds alike in any batch."""
+    r = mat[:, 0] * coeffs[0]
+    for j in range(1, len(coeffs)):
+        r = r + mat[:, j] * coeffs[j]
+    return r
+
+
 def evaluate_model(model: ModelClass, coeffs: Coefficients, point: Sequence[float]) -> float:
     """g(A, x) at a single point: the one-row case of `evaluate_model_values`."""
     return float(evaluate_model_values(model, coeffs, np.array([point], dtype=float))[0])
@@ -228,9 +236,9 @@ def evaluate_model_values(model: ModelClass, coeffs: Coefficients, points: np.nd
     """g(A, x) over an (N, d) point array; errors if the denominator dips below delta."""
     _check_shapes(model, coeffs)
     pts = np.atleast_2d(points)
-    r = basis_matrix(model.numerator, model.variables, pts) @ np.asarray(coeffs.numerator)
+    r = _combine(basis_matrix(model.numerator, model.variables, pts), coeffs.numerator)
     if model.denominator is not None:
-        den = basis_matrix(model.denominator, model.variables, pts) @ np.asarray(coeffs.denominator)
+        den = _combine(basis_matrix(model.denominator, model.variables, pts), coeffs.denominator)
         bad = den < model.delta * (1.0 - 1e-9) - 1e-12
         if np.any(bad):
             k = int(np.argmax(bad))
@@ -256,7 +264,7 @@ def default_initial_coefficients(model: ModelClass, points: np.ndarray | None = 
     if points is not None:
         pts = np.atleast_2d(points)
         hmat = basis_matrix(model.denominator, model.variables, pts)
-        den = hmat @ np.asarray(coeffs.denominator)
+        den = _combine(hmat, coeffs.denominator)
         bad = den < model.delta
         if np.any(bad):
             raise InfeasibleInitialCoefficientsError(pts[bad])

@@ -1,14 +1,27 @@
-"""Dense two-phase primal simplex for inequality-form programs with free variables.
+"""Dense two-phase simplex on the dual of inequality-form programs with free variables.
 
-Solves  min c.v  subject to  G v <= h  with v sign-unrestricted, by splitting
-v into differences of nonnegative parts, adding one slack per row and, for
-rows whose right-hand side is negative after standardisation, one artificial
-variable driven out in phase one.
+The primal  min c.v  subject to  G v <= h  with v sign-unrestricted has m
+rows but only n columns, and the level LPs of the fitter have m in the
+thousands and n below ten.  It is solved through its dual in standard form,
+
+    min h.y  subject to  G^T y = -c,  y >= 0,
+
+an n-row tableau with one artificial per equality row, driven out in phase
+one.  This is the classical treatment of discrete Chebyshev problems
+(Stiefel, Numer. Math. 1, 1959; Barrodale & Phillips, ACM TOMS Alg. 495,
+1975).  The rows of the optimal dual basis B are the active primal rows, so
+the primal solution solves  G[B] v = h[B].  Redundant equality rows, from a
+rank-deficient G, are deleted after phase one; v is then the
+minimum-norm solution of the shorter system.
+
+Verdicts follow from duality.  An unbounded dual means an infeasible
+primal.  An infeasible dual means the primal is unbounded or infeasible;
+the dual with c = 0 is always feasible and is bounded exactly when the
+primal is feasible (Farkas), so one more run tells the two apart.
 
 The pivot rule is largest reduced cost with lowest-index tie-breaking, which
 is deterministic; after a run of degenerate pivots the rule switches to
-Bland's, which cannot cycle.  Problems here are a few thousand rows by a few
-tens of columns, so a dense tableau beats anything clever.
+Bland's, which cannot cycle.
 """
 
 from __future__ import annotations
@@ -40,27 +53,15 @@ class LpSolution:
 
 
 class _Tableau:
-    def __init__(self, G: np.ndarray, h: np.ndarray):
-        m, n = G.shape
+    """A x = b, x >= 0, started from one artificial per row."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        m, n_cols = A.shape
         self.m = m
-        self.n = n
-        A = np.hstack([G, -G, np.eye(m)])
-        b = h.astype(float).copy()
-        neg = b < 0
-        A[neg] *= -1.0
-        b[neg] *= -1.0
-        self.n_cols = 2 * n + m  # structural + slack columns
-        art_rows = np.flatnonzero(neg)
-        self.n_art = art_rows.size
-        if self.n_art:
-            art = np.zeros((m, self.n_art))
-            art[art_rows, np.arange(self.n_art)] = 1.0
-            A = np.hstack([A, art])
-        self.T = np.hstack([A, b[:, None]])
-        self.basis = np.empty(m, dtype=int)
-        pos_rows = np.flatnonzero(~neg)
-        self.basis[pos_rows] = 2 * n + pos_rows
-        self.basis[art_rows] = self.n_cols + np.arange(self.n_art)
+        self.n_cols = n_cols  # structural columns; artificials follow
+        sign = np.where(b < 0, -1.0, 1.0)
+        self.T = np.hstack([A * sign[:, None], np.eye(m), (b * sign)[:, None]])
+        self.basis = n_cols + np.arange(m)
         self.iterations = 0
 
     def pivot(self, r: int, j: int) -> None:
@@ -72,7 +73,7 @@ class _Tableau:
         T -= np.outer(col, T[r])
         self.basis[r] = j
 
-    def run(self, cost: np.ndarray, allowed: np.ndarray, max_iterations: int) -> tuple[str, float]:
+    def run(self, cost: np.ndarray, max_iterations: int) -> tuple[str, float]:
         """Minimise cost over the current basis; returns (status, objective)."""
         T = self.T
         m = self.m
@@ -83,7 +84,7 @@ class _Tableau:
         bland = False
         degenerate_run = 0
         while True:
-            cand = np.where(allowed, red[:-1], np.inf)
+            cand = red[:-1]
             if bland:
                 elig = np.flatnonzero(cand < -_RED_TOL)
                 if elig.size == 0:
@@ -142,7 +143,23 @@ class _Tableau:
             self.basis = self.basis[keep]
             self.m = keep.size
         self.T = np.hstack([self.T[:, : self.n_cols], self.T[:, -1:]])
-        self.n_art = 0
+
+
+def _solve_dual(G: np.ndarray, h: np.ndarray, c: np.ndarray, max_iterations: int) -> tuple[str, _Tableau]:
+    """min h.y s.t. G^T y = -c, y >= 0; the status is the dual's own."""
+    tab = _Tableau(G.T, -c)
+    cost1 = np.zeros(tab.n_cols + tab.m)
+    cost1[tab.n_cols :] = 1.0
+    status, obj1 = tab.run(cost1, max_iterations)
+    # the phase-one objective is a sum of nonnegative variables, so an
+    # unbounded verdict here can only be numerical noise
+    if status != OPTIMAL:
+        return NUMERICAL_FAILURE, tab
+    if obj1 > 1e-7 * (1.0 + np.abs(c).max(initial=0.0)):
+        return INFEASIBLE, tab
+    tab.drop_artificials()
+    status, _ = tab.run(h, max_iterations)
+    return status, tab
 
 
 def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
@@ -154,38 +171,30 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     G = np.asarray(lp.rows, dtype=float)
     h = np.asarray(lp.rhs, dtype=float)
     c = np.asarray(lp.objective, dtype=float)
-    n = lp.variable_count
-    if lp.row_count == 0:
+    m, n = lp.row_count, lp.variable_count
+    if m == 0:
         if np.any(c != 0.0):
             return LpSolution(UNBOUNDED)
         return LpSolution(OPTIMAL, np.zeros(n), 0.0, 0)
-
-    tab = _Tableau(G, h)
     if max_iterations is None:
-        max_iterations = 20000 + 200 * (tab.m + n)
+        max_iterations = 20000 + 200 * (m + n)
 
-    if tab.n_art:
-        cost1 = np.zeros(tab.n_cols + tab.n_art)
-        cost1[tab.n_cols :] = 1.0
-        allowed = np.ones(tab.n_cols + tab.n_art, dtype=bool)
-        status, obj1 = tab.run(cost1, allowed, max_iterations)
-        # the phase-one objective is a sum of nonnegative variables, so an
-        # unbounded verdict here can only be numerical noise
-        if status != OPTIMAL:
-            return LpSolution(NUMERICAL_FAILURE, iterations=tab.iterations)
-        if obj1 > 1e-7 * (1.0 + np.abs(h).max()):
-            return LpSolution(INFEASIBLE, iterations=tab.iterations)
-        tab.drop_artificials()
-
-    cost2 = np.zeros(tab.n_cols)
-    cost2[:n] = c
-    cost2[n : 2 * n] = -c
-    allowed = np.ones(tab.n_cols, dtype=bool)
-    status, _ = tab.run(cost2, allowed, max_iterations)
-    if status != OPTIMAL:
-        return LpSolution(status, iterations=tab.iterations)
-
-    full = np.zeros(tab.n_cols)
-    full[tab.basis] = tab.T[:, -1]
-    x = full[:n] - full[n : 2 * n]
-    return LpSolution(OPTIMAL, x, float(c @ x), tab.iterations)
+    status, tab = _solve_dual(G, h, c, max_iterations)
+    if status == OPTIMAL:
+        B = tab.basis
+        if B.size == n:
+            x = np.linalg.solve(G[B], h[B])
+        else:
+            x = np.linalg.lstsq(G[B], h[B], rcond=None)[0]
+        return LpSolution(OPTIMAL, x, float(c @ x), tab.iterations)
+    if status == UNBOUNDED:
+        return LpSolution(INFEASIBLE, iterations=tab.iterations)
+    if status == INFEASIBLE:
+        farkas, tab0 = _solve_dual(G, h, np.zeros(n), max_iterations - tab.iterations)
+        iterations = tab.iterations + tab0.iterations
+        if farkas == OPTIMAL:
+            return LpSolution(UNBOUNDED, iterations=iterations)
+        if farkas == UNBOUNDED:
+            return LpSolution(INFEASIBLE, iterations=iterations)
+        return LpSolution(NUMERICAL_FAILURE, iterations=iterations)
+    return LpSolution(status, iterations=tab.iterations)

@@ -236,3 +236,21 @@ def test_epsilon_validation():
     f = SampledFunction.from_points([(0.0,)], [1.0])
     with pytest.raises(ValueError):
         fit(_constant_model(), f, epsilon=0.0)
+
+
+def test_trace_pivots_repeat_on_resolve():
+    from quasifit.bisection import _oracle
+
+    model = ModelClass(
+        ("x",),
+        MonotoneOuter.odd_power(3),
+        BasisSpec.from_sources(["1", "x"], ["x"]),
+        BasisSpec.from_sources(["1", "x"], ["x"]),
+        (0, 1.0),
+    )
+    f = sample(parse("x^2", ["x"]), Grid((0.0,), (1.0,), (0.125,)), ("x",))
+    res = fit(model, f, epsilon=1e-4)
+    assert res.trace and all(t.pivots > 0 for t in res.trace)
+    for t in res.trace:
+        _, _, sol = _oracle(model, f, t.z)
+        assert sol.iterations == t.pivots

@@ -1,15 +1,21 @@
 """Optional cross-validation of the simplex against an external LP solver.
 
-Runs only when scipy is installed; it is not a runtime dependency.  The
-external path (HiGHS) is a fully independent implementation, so agreement
-here complements the vertex-enumeration oracle used elsewhere.
+scipy comes with the `test` extra and is skipped when absent; it is not a
+runtime dependency.  The external path (HiGHS) is a fully independent
+implementation, so agreement here complements the vertex-enumeration oracle
+used elsewhere.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
+from quasifit.bisection import fit
+from quasifit.cli import _build_model
 from quasifit.expr import parse
 from quasifit.grid import Grid, sample
 from quasifit.linearize import LinearProgram, build_feasibility_lp
@@ -99,3 +105,24 @@ def test_rational_benchmark_oracle_levels_match_highs():
         assert ours.status == OPTIMAL and ref.status == 0
         assert ours.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-10)
         assert (ours.objective <= 0.0) == (ref.fun <= 0.0)
+
+
+@pytest.mark.parametrize("name", ["benchmark_affine_cubed", "benchmark_rational_cubed"])
+def test_benchmark_trace_verdicts_match_highs(name):
+    # every bisection level of a committed benchmark fit: the verdict must
+    # agree in sign with the independent solver on the same level LP
+    config = json.loads((Path(__file__).parent.parent / "configs" / f"{name}.json").read_text())
+    model, target, grid = _build_model(config)
+    f = sample(target, grid, model.variables)
+    res = fit(model, f, epsilon=config["solver"]["epsilon"])
+    assert len(res.trace) == res.iterations > 0
+    for t in res.trace:
+        lp = build_feasibility_lp(model, f, t.z)
+        ref = scipy_opt.linprog(
+            lp.objective, A_ub=lp.rows, b_ub=lp.rhs,
+            bounds=[(None, None)] * (lp.variable_count - 1) + [(-1.0, None)],
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert ref.status == 0
+        assert t.feasible == (ref.fun <= 0.0), t.z

@@ -114,18 +114,20 @@ def test_default_initial_sign_changing_denominator_reports_points():
 
 
 def test_vectorized_evaluation_matches_pointwise():
+    # bitwise: a surface value must equal a one-point re-evaluation
     m = ModelClass(
         XY,
         MonotoneOuter.odd_power(3),
-        _basis(["1", "x", "x*y"], XY),
-        _basis(["1", "y^2"], XY),
+        _basis(["1", "x", "y", "x^2", "y^2", "x*y"], XY),
+        _basis(["1", "x*y", "y^2"], XY),
         (0, 1.0),
     )
-    coeffs = Coefficients((0.5, -1.0, 2.0), (1.0, 0.25))
-    pts = enumerate_points(Grid((-1.0, -1.0), (1.0, 1.0), (0.5, 0.5)))
+    coeffs = Coefficients((0.3, -1.1, 0.7, 2.3, -0.9, 1.7), (1.0, 0.31, 0.27))
+    pts = enumerate_points(Grid((-1.0, -1.0), (1.0, 1.0), (0.05, 0.05)))
+    assert pts.shape[0] == 41 * 41
     vec = evaluate_model_values(m, coeffs, pts)
     for k in range(pts.shape[0]):
-        assert vec[k] == pytest.approx(evaluate_model(m, coeffs, pts[k]), rel=1e-15)
+        assert vec[k] == evaluate_model(m, coeffs, pts[k])
 
 
 @given(

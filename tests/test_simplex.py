@@ -179,3 +179,25 @@ def test_deterministic_resolve():
     assert a.iterations == b.iterations
     if a.status == OPTIMAL:
         assert np.array_equal(a.solution, b.solution)
+
+
+def test_duplicated_column_leaves_redundant_dual_row():
+    # v2 repeats v1, so the dual equations G^T y = -c repeat one row; the
+    # redundant row is dropped and v1 + v2 still reaches its bound
+    sol = solve(_lp([-1.0, -1.0], [[1.0, 1.0], [-1.0, -1.0]], [2.0, 1.0]))
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(-2.0)
+    assert sol.solution.sum() == pytest.approx(2.0)
+
+
+def test_zero_column_with_cost_is_unbounded():
+    # v2 appears in no row: the dual is infeasible, the primal feasible
+    sol = solve(_lp([0.0, 1.0], [[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0]))
+    assert sol.status == UNBOUNDED
+
+
+def test_primal_and_dual_both_infeasible():
+    # v1 <= -1 and v1 >= 1 cannot hold, and v2's cost makes the dual
+    # infeasible too; the c = 0 dual is unbounded, which names the primal
+    sol = solve(_lp([0.0, 1.0], [[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0]))
+    assert sol.status == INFEASIBLE
