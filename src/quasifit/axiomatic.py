@@ -7,9 +7,11 @@ functions.  A function is "generated-convex" when it is the pointwise
 supremum of table rows; the family of support sets of such functions is
 always intersection-stable, every closure space arises that way from its
 indicator lift, and sandwiching sets between strict and ordinary support
-sets extends the family to a full convexity structure.  Hulls and
-Caratheodory numbers are computed by brute force under explicit size
-guards.
+sets extends the family to a full convexity structure.  The map sending a
+set of rows to the support set of its supremum is a closure operator whose
+closed sets are exactly the generated support sets, so both families are
+enumerated from the closed sets alone.  Hulls and Caratheodory numbers are
+computed exhaustively; every enumeration runs under an explicit size guard.
 
 Subsets are frozensets of element indices; extended reals are floats with
 math.inf for plus infinity and -math.inf as the bottom element produced by
@@ -20,6 +22,7 @@ comparisons and pointwise max occur.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -97,10 +100,7 @@ class ConvexityFamily:
         object.__setattr__(self, "members", members)
 
     def member_labels(self) -> list[list[str]]:
-        return [
-            [self.ground.labels[i] for i in sorted(m)]
-            for m in sorted(self.members, key=lambda s: (len(s), sorted(s)))
-        ]
+        return [[self.ground.labels[i] for i in sorted(m)] for m in sorted_members(self)]
 
 
 @dataclass(frozen=True)
@@ -216,24 +216,40 @@ def indicator_lift(family: ConvexityFamily) -> FunctionTable:
 def l_convex_sets(table: FunctionTable) -> frozenset[frozenset[int]]:
     """Support sets of every pointwise supremum of rows.
 
-    Exhausts all row subsets, including the empty one whose supremum is the
-    bottom row; runtime is exponential in the row count, hence the guard.
+    These are the closed sets of cl(S) = support_set(sup_of_rows(S)),
+    enumerated from cl(empty set) by closing each set found with one more
+    row until no new set appears.  Every closed set is reached one row at a
+    time because cl(cl(A) | {i}) == cl(A | {i}), so the work is (closed
+    sets) x (rows) closures; closed sets can still number 2^k, hence the
+    guard.
     """
     k = len(table)
     if k > 20:
         raise SizeGuardError(f"l_convex_sets is limited to 20 rows, got {k}")
-    out = set()
-    for mask in range(1 << k):
-        f = sup_of_rows(table, [i for i in range(k) if mask >> i & 1])
-        out.add(support_set(table, f))
-    return frozenset(out)
+
+    def closure(rows: Iterable[int]) -> frozenset[int]:
+        return support_set(table, sup_of_rows(table, rows))
+
+    closed = {closure(())}
+    pending = list(closed)
+    while pending:
+        c = pending.pop()
+        for i in range(k):
+            if i not in c:
+                d = closure(c | {i})
+                if d not in closed:
+                    closed.add(d)
+                    pending.append(d)
+    return frozenset(closed)
 
 
 def convexity_extension(table: FunctionTable) -> frozenset[frozenset[int]]:
     """Every set sandwiched between strict and ordinary support sets.
 
     Generators range over all pointwise suprema of row subsets, the
-    generated-convex functions of a finite table.  The result always
+    generated-convex functions of a finite table.  A row subset and its
+    closure have the same supremum, whose support set is that closure, so
+    each sandwich is taken once per l-convex set.  The result always
     contains the support sets themselves and always forms a convexity
     structure.
     """
@@ -241,14 +257,11 @@ def convexity_extension(table: FunctionTable) -> frozenset[frozenset[int]]:
     if k > 12:
         raise SizeGuardError(f"convexity_extension is limited to 12 rows, got {k}")
     out = set()
-    for mask in range(1 << k):
-        f = sup_of_rows(table, [i for i in range(k) if mask >> i & 1])
-        ss = strict_support_set(table, f)
-        s = support_set(table, f)
-        gap = sorted(s - ss)
-        for sub_mask in range(1 << len(gap)):
-            extra = frozenset(gap[i] for i in range(len(gap)) if sub_mask >> i & 1)
-            out.add(ss | extra)
+    for c in l_convex_sets(table):
+        strict = strict_support_set(table, sup_of_rows(table, c))
+        gap = sorted(c - strict)
+        for size in range(len(gap) + 1):
+            out.update(strict.union(extra) for extra in combinations(gap, size))
     return frozenset(out)
 
 
@@ -258,35 +271,30 @@ def family_over_rows(table: FunctionTable, members: Iterable[frozenset[int]]) ->
     return ConvexityFamily(ground, frozenset(frozenset(m) for m in members))
 
 
-def _is_caratheodory_independent(
-    family: ConvexityFamily, subset: frozenset[int], hull_cache: dict
-) -> bool:
-    def cached_hull(s: frozenset[int]) -> frozenset[int]:
-        if s not in hull_cache:
-            hull_cache[s] = hull(family, s)
-        return hull_cache[s]
-
-    if not subset:
-        return False  # hull of nothing is covered by the empty union
-    covered = frozenset().union(*(cached_hull(subset - {a}) for a in subset))
-    return not cached_hull(subset) <= covered
-
-
 def caratheodory_number(family: ConvexityFamily) -> int:
-    """Largest cardinality of a Caratheodory independent subset of the ground set."""
+    """Largest cardinality of a Caratheodory independent subset of the ground set.
+
+    A nonempty subset is independent when its hull is not covered by the
+    hulls of its one-smaller subsets.
+    """
     n = family.ground.size
     if n > 10:
         raise SizeGuardError(f"caratheodory_number is limited to ground size 10, got {n}")
     if not is_closure_space(family):
         raise ValueError("caratheodory_number requires a closure space")
-    elements = list(range(n))
-    hull_cache: dict = {}
+
+    @functools.cache
+    def cached_hull(s: frozenset[int]) -> frozenset[int]:
+        return hull(family, s)
+
+    def independent(s: frozenset[int]) -> bool:
+        covered = frozenset().union(*(cached_hull(s - {a}) for a in s))
+        return not cached_hull(s) <= covered
+
     best = 0
     for size in range(1, n + 1):
-        for combo in combinations(elements, size):
-            if _is_caratheodory_independent(family, frozenset(combo), hull_cache):
-                best = size
-                break
+        if any(independent(frozenset(combo)) for combo in combinations(range(n), size)):
+            best = size
     return best
 
 

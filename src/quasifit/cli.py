@@ -21,12 +21,11 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import axiomatic
-from .bisection import FitError, OracleFailure, fit
+from .bisection import FitError, fit
 from .expr import ExprError, parse
 from .grid import Grid, SampledFunction, sample, write_csv
 from .models import (
     BasisSpec,
-    Coefficients,
     InfeasibleInitialCoefficientsError,
     ModelClass,
     MonotoneOuter,
@@ -143,8 +142,6 @@ def cmd_fit(config_path: str) -> int:
         result = fit(model, sampled, epsilon=epsilon, lp_max_iterations=lp_cap)
     except InfeasibleInitialCoefficientsError as exc:
         return _emit_error(EXIT_INFEASIBLE, "infeasible_start", str(exc))
-    except OracleFailure as exc:
-        return _emit_error(EXIT_NUMERICAL, "solver", str(exc))
     except FitError as exc:
         return _emit_error(EXIT_NUMERICAL, "solver", str(exc))
 
@@ -241,9 +238,10 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
     return EXIT_OK
 
 
-def cmd_convexity(sub: str, paths: Sequence[str], query: str | None) -> int:
+def cmd_convexity(sub: str, path: str, query: str | None) -> int:
     try:
-        text = open(paths[0]).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         return _emit_error(EXIT_CONFIG, "input", f"cannot read input: {exc}")
 
@@ -295,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = subs.add_parser("convexity", help="finite convexity computations")
     p_conv.add_argument("sub", choices=["hull", "caratheodory", "check", "extension"])
-    p_conv.add_argument("files", nargs="+", help="family text file or function table CSV")
+    p_conv.add_argument("file", help="family text file or function table CSV")
     p_conv.add_argument("--set", dest="query", default=None, help="comma-separated labels for hull")
 
     return parser
@@ -309,7 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_fit(args.config)
     if args.command == "verify":
         return cmd_verify(args.result, args.n, args.m, args.tau)
-    return cmd_convexity(args.sub, args.files, args.query)
+    return cmd_convexity(args.sub, args.file, args.query)
 
 
 if __name__ == "__main__":

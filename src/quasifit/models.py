@@ -139,10 +139,6 @@ class ModelClass:
         if not (self.delta > 0):
             raise ValueError("delta must be positive")
 
-    @property
-    def has_denominator(self) -> bool:
-        return self.denominator is not None
-
     def free_denominator_indices(self) -> list[int]:
         if self.denominator is None:
             return []
@@ -180,12 +176,6 @@ class Coefficients:
         object.__setattr__(self, "numerator", tuple(float(v) for v in self.numerator))
         if self.denominator is not None:
             object.__setattr__(self, "denominator", tuple(float(v) for v in self.denominator))
-
-    def free_vector(self, model: ModelClass) -> np.ndarray:
-        vec = list(self.numerator)
-        if model.denominator is not None:
-            vec += [self.denominator[j] for j in model.free_denominator_indices()]
-        return np.array(vec, dtype=float)
 
 
 def _check_shapes(model: ModelClass, coeffs: Coefficients) -> None:

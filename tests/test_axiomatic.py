@@ -295,6 +295,68 @@ def test_extension_guard():
         convexity_extension(table)
 
 
+# --- exact equality with the 2^k subset definitions --------------------------------
+
+
+def _reference_l_convex_sets(table):
+    """Support set of the supremum of each of the 2^k row subsets."""
+    k = len(table)
+    return frozenset(
+        support_set(table, sup_of_rows(table, [i for i in range(k) if mask >> i & 1]))
+        for mask in range(1 << k)
+    )
+
+
+def _reference_convexity_extension(table):
+    """Every set between the strict and ordinary support sets of the supremum
+    of each of the 2^k row subsets."""
+    k = len(table)
+    out = set()
+    for mask in range(1 << k):
+        f = sup_of_rows(table, [i for i in range(k) if mask >> i & 1])
+        strict = strict_support_set(table, f)
+        gap = sorted(support_set(table, f) - strict)
+        for sub_mask in range(1 << len(gap)):
+            out.add(strict | frozenset(gap[j] for j in range(len(gap)) if sub_mask >> j & 1))
+    return frozenset(out)
+
+
+def _reference_tables():
+    """Edge cases, then seeded random tables of up to 8 rows with tied values,
+    duplicate rows and both infinities."""
+    pq = GroundSet(("p", "q"))
+    yield FunctionTable(pq, ())
+    yield FunctionTable(pq, ((-INF, -INF),))
+    yield FunctionTable(pq, ((-INF, -INF), (0.0, 1.0), (-INF, -INF)))
+    yield FunctionTable(pq, ((INF, INF), (-INF, -INF), (1.0, INF)))
+    yield FunctionTable(pq, ((1.0, 1.0),) * 4)
+    values = (-INF, 0.0, 1.0, 2.0, INF)
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        k = int(rng.integers(0, 9))
+        rows = [tuple(values[j] for j in rng.integers(0, len(values), n)) for _ in range(k)]
+        if k > 1 and rng.random() < 0.3:
+            rows[int(rng.integers(0, k))] = rows[int(rng.integers(0, k))]
+        yield FunctionTable(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rows))
+
+
+def test_l_convex_sets_equal_subset_definition():
+    for table in _reference_tables():
+        generated = l_convex_sets(table)
+        assert generated == _reference_l_convex_sets(table), table
+        assert type(generated) is frozenset
+        assert all(type(m) is frozenset for m in generated)
+
+
+def test_convexity_extension_equals_subset_definition():
+    for table in _reference_tables():
+        ext = convexity_extension(table)
+        assert ext == _reference_convexity_extension(table), table
+        assert type(ext) is frozenset
+        assert all(type(m) is frozenset for m in ext)
+
+
 # --- Caratheodory numbers --------------------------------------------------------
 
 

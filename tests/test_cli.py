@@ -323,6 +323,14 @@ def test_convexity_malformed_input_exit_2(tmp_path):
     assert cli.main(["convexity", "check", str(bad)]) == 2
 
 
+def test_convexity_takes_exactly_one_file(tmp_path):
+    family = tmp_path / "f.txt"
+    family.write_text("ground: a\n{}\na\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["convexity", "check", str(family), str(family)])
+    assert exc.value.code == 2
+
+
 def test_convexity_hull_requires_set(tmp_path):
     family = tmp_path / "f.txt"
     family.write_text("ground: a\n{}\na\n")
