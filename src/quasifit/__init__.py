@@ -12,7 +12,7 @@ extensions and Caratheodory numbers for set-theoretic convexity structures.
 from .bisection import FitResult, certify_bracket, expected_iterations, fit
 from .expr import evaluate, parse, to_source
 from .grid import Grid, SampledFunction, enumerate_points, sample
-from .linearize import LinearProgram, build_feasibility_lp
+from .linearize import LevelProblem, LinearProgram, build_feasibility_lp
 from .models import (
     BasisSpec,
     Coefficients,
@@ -39,6 +39,7 @@ __all__ = [
     "Coefficients",
     "FitResult",
     "Grid",
+    "LevelProblem",
     "LinearProgram",
     "LpSolution",
     "ModelClass",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SampledFunction
-from .linearize import LinearProgram, build_feasibility_lp
+from .linearize import LevelProblem, build_feasibility_lp
 from .models import Coefficients, ModelClass, default_initial_coefficients, evaluate_model_values
 from .simplex import INFEASIBLE, OPTIMAL, LpSolution, solve
 
@@ -63,19 +63,14 @@ class FitResult:
 
 
 def _oracle(
-    model: ModelClass, f: SampledFunction, z: float, lp_max_iterations: int | None = None
+    problem: LevelProblem, z: float, lp_max_iterations: int | None = None
 ) -> tuple[bool, Coefficients | None, LpSolution]:
     """Decide level-z emptiness; when nonempty also return witness coefficients."""
-    lp = build_feasibility_lp(model, f, z)
-    # u only ever relaxes the level rows, so a deeply feasible level could
-    # drive it to minus infinity; the floor u >= -1 keeps every level bounded
-    floor = np.zeros(lp.variable_count)
-    floor[-1] = -1.0
-    lp = LinearProgram(lp.objective, np.vstack([lp.rows, floor]), np.append(lp.rhs, 1.0), lp.names)
+    lp = build_feasibility_lp(problem, z)
     sol = solve(lp, max_iterations=lp_max_iterations)
     if sol.status == OPTIMAL:
         if sol.objective <= 0.0:
-            return True, model.coefficients_from_free(sol.solution[:-1]), sol
+            return True, problem.model.coefficients_from_free(sol.solution[:-1]), sol
         return False, None, sol
     if sol.status == INFEASIBLE:
         # positivity rows do not depend on z and the start was feasible
@@ -105,9 +100,10 @@ def fit(
     upper = u0
     best: Coefficients | None = None
     trace: list[TraceEntry] = []
+    problem = LevelProblem(model, f)
     while upper - lower > epsilon:
         z = 0.5 * (upper + lower)
-        feasible, coeffs, sol = _oracle(model, f, z, lp_max_iterations)
+        feasible, coeffs, sol = _oracle(problem, z, lp_max_iterations)
         trace.append(TraceEntry(z, feasible, sol.objective, sol.iterations))
         if feasible:
             upper = z
@@ -137,9 +133,10 @@ def certify_bracket(
     feasible, and when l > 0 the level l - min(epsilon, l/2) must be
     infeasible.  The second entry is None when l = 0.
     """
-    up_ok, _, _ = _oracle(model, f, result.upper + epsilon)
+    problem = LevelProblem(model, f)
+    up_ok, _, _ = _oracle(problem, result.upper + epsilon)
     if result.lower <= 0.0:
         return up_ok, None
     probe = result.lower - min(epsilon, result.lower / 2.0)
-    low_feasible, _, _ = _oracle(model, f, probe)
+    low_feasible, _, _ = _oracle(problem, probe)
     return up_ok, not low_feasible

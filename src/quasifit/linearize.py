@@ -16,20 +16,23 @@ a single relaxation variable u added to the slack side of every level row:
 the polytope is nonempty exactly when the optimum satisfies u* <= 0.
 
 Denominator positivity rows  -B.H(x) <= -delta  define the model's domain
-rather than the level set, so the decision oracle keeps them hard.
+rather than the level set, so the decision oracle keeps them hard, and a
+last floor row u >= -1 keeps a deeply feasible level bounded.  Only
+hi = phi_inv(f + z) and lo = phi_inv(f - z) depend on z: a fit builds one
+`LevelProblem`, which evaluates the bases and lays out every row once, and
+`build_feasibility_lp` fills in hi and lo for each level it probes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
 from .grid import SampledFunction
 from .models import ModelClass, basis_matrix
 
-__all__ = ["LinearProgram", "build_feasibility_lp", "write_lp_text"]
+__all__ = ["LevelProblem", "LinearProgram", "build_feasibility_lp"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,74 +72,72 @@ class LinearProgram:
         return self.rows.shape[0]
 
 
-def build_feasibility_lp(model: ModelClass, f: SampledFunction, z: float) -> LinearProgram:
+class LevelProblem:
+    """The z-independent part of every level LP of one fit, built once.
+
+    Holds G (and H) evaluated on the sample points and the row layout that
+    `build_feasibility_lp` fills in; an affine model is laid out as a
+    rational one with denominator 1 and no free denominator column.
+    """
+
+    def __init__(self, model: ModelClass, f: SampledFunction):
+        pts = f.points
+        n_pts = pts.shape[0]
+        n_g = len(model.numerator)
+        free_b = model.free_denominator_indices()
+        n_free = n_g + len(free_b)
+        self.model = model
+        self.values = f.values
+        self.names = tuple(model.coefficient_names() + ["u"])
+        self.objective = np.append(np.zeros(n_free), 1.0)
+        self.den_columns = slice(n_g, n_free)
+        self.block = 2 if model.denominator is None else 3
+        self.rows = np.zeros((self.block * n_pts + 1, n_free + 1))
+        self.rhs = np.zeros(self.block * n_pts + 1)
+        level = self.rows[:-1]
+        # A.G(x) - hi * B.H(x) <= u, then lo * B.H(x) - A.G(x) <= u; u only
+        # ever relaxes the level rows, so a deeply feasible level could drive
+        # it to minus infinity, and the floor u >= -1 keeps every level bounded
+        gmat = basis_matrix(model.numerator, model.variables, pts)
+        level[0::self.block, :n_g] = gmat
+        level[1::self.block, :n_g] = -gmat
+        self.rows[:, -1] = -1.0
+        self.rhs[-1] = 1.0
+        if model.denominator is None:
+            self.den_fixed = np.ones(n_pts)
+            self.h_free = np.zeros((n_pts, 0))
+        else:
+            hmat = basis_matrix(model.denominator, model.variables, pts)
+            idx, val = model.fixed_coefficient
+            self.den_fixed = val * hmat[:, idx]
+            self.h_free = hmat[:, free_b]
+            # -B.H(x) <= -delta, kept hard: it defines the model's domain
+            level[2::3, self.den_columns] = -self.h_free
+            level[2::3, -1] = 0.0
+            self.rhs[2:-1:3] = self.den_fixed - model.delta
+        for arr in (self.objective, self.rows, self.rhs):
+            arr.setflags(write=False)
+
+
+def build_feasibility_lp(problem: LevelProblem, z: float) -> LinearProgram:
     """The level-z emptiness LP over the free coefficients plus the slack u.
 
-    Row order is deterministic: grid points in enumeration order, and within
-    a point the upper level row, the lower level row, then (rational models)
-    the denominator positivity row.
+    Fills hi = phi_inv(f + z) and lo = phi_inv(f - z) into the rows laid out
+    by `problem`: grid points in enumeration order, within a point the upper
+    level row, the lower level row, then (rational models) the denominator
+    positivity row, and the floor row u >= -1 last.
     """
     if z < 0:
         raise ValueError("level z must be nonnegative")
-    pts = f.points
-    n_pts = pts.shape[0]
-    gmat = basis_matrix(model.numerator, model.variables, pts)
-    n_g = len(model.numerator)
-    free_b = model.free_denominator_indices()
-    n_free = n_g + len(free_b)
-    n_vars = n_free + 1  # trailing u
-    names = tuple(model.coefficient_names() + ["u"])
-
-    hi = model.outer.inverse(f.values + z)
-    lo = model.outer.inverse(f.values - z)
-
-    if model.denominator is None:
-        rows = np.zeros((2 * n_pts, n_vars))
-        rhs = np.zeros(2 * n_pts)
-        # A.G(x) - hi <= u
-        rows[0::2, :n_g] = gmat
-        rows[0::2, -1] = -1.0
-        rhs[0::2] = hi
-        # lo - A.G(x) <= u
-        rows[1::2, :n_g] = -gmat
-        rows[1::2, -1] = -1.0
-        rhs[1::2] = -lo
-    else:
-        hmat = basis_matrix(model.denominator, model.variables, pts)
-        idx, val = model.fixed_coefficient
-        den_fixed = val * hmat[:, idx]
-        h_free = hmat[:, free_b]
-        rows = np.zeros((3 * n_pts, n_vars))
-        rhs = np.zeros(3 * n_pts)
-        # A.G(x) - hi * B.H(x) <= u
-        rows[0::3, :n_g] = gmat
-        rows[0::3, n_g:n_free] = -hi[:, None] * h_free
-        rows[0::3, -1] = -1.0
-        rhs[0::3] = hi * den_fixed
-        # lo * B.H(x) - A.G(x) <= u
-        rows[1::3, :n_g] = -gmat
-        rows[1::3, n_g:n_free] = lo[:, None] * h_free
-        rows[1::3, -1] = -1.0
-        rhs[1::3] = -lo * den_fixed
-        # -B.H(x) <= -delta, kept hard: it defines the model's domain
-        rows[2::3, n_g:n_free] = -h_free
-        rhs[2::3] = den_fixed - model.delta
-
-    objective = np.zeros(n_vars)
-    objective[-1] = 1.0
-    return LinearProgram(objective, rows, rhs, names)
-
-
-def write_lp_text(lp: LinearProgram, out: TextIO) -> None:
-    """Plain inequality dump for cross-checking with external tools."""
-    out.write("min " + " + ".join(
-        f"{c:g} {n}" for c, n in zip(lp.objective, lp.names) if c != 0.0
-    ) + "\n")
-    for i in range(lp.row_count):
-        terms = [
-            f"{lp.rows[i, j]:+.17g} {lp.names[j]}"
-            for j in range(lp.variable_count)
-            if lp.rows[i, j] != 0.0
-        ]
-        lhs = " ".join(terms) if terms else "0"
-        out.write(f"{lhs} <= {lp.rhs[i]:.17g}\n")
+    hi = problem.model.outer.inverse(problem.values + z)
+    lo = problem.model.outer.inverse(problem.values - z)
+    k = problem.block
+    rows = problem.rows
+    if problem.h_free.size:
+        rows = rows.copy()
+        rows[0:-1:k, problem.den_columns] = -hi[:, None] * problem.h_free
+        rows[1:-1:k, problem.den_columns] = lo[:, None] * problem.h_free
+    rhs = problem.rhs.copy()
+    rhs[0:-1:k] = hi * problem.den_fixed
+    rhs[1:-1:k] = -lo * problem.den_fixed
+    return LinearProgram(problem.objective, rows, rhs, problem.names)

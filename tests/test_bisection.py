@@ -4,6 +4,7 @@ import pytest
 from quasifit.bisection import certify_bracket, expected_iterations, fit
 from quasifit.expr import parse
 from quasifit.grid import Grid, SampledFunction, sample
+from quasifit.linearize import LevelProblem
 from quasifit.models import (
     BasisSpec,
     Coefficients,
@@ -160,7 +161,7 @@ def test_unbounded_oracle_level_yields_witness():
         BasisSpec.from_sources(["1", "x^2"], ["x"]),
         (0, 1.0),
     )
-    feasible, coeffs, _ = _oracle(model, f, 1.0)
+    feasible, coeffs, _ = _oracle(LevelProblem(model, f), 1.0)
     assert feasible
     from quasifit.models import evaluate_model_values
 
@@ -174,6 +175,36 @@ def test_unbounded_oracle_level_yields_witness():
     res = fit(model, f2, epsilon=EPS)
     assert res.achieved_deviation <= EPS
     assert all(t.lp_objective == pytest.approx(-1.0) for t in res.trace if t.feasible)
+
+
+def test_fit_evaluates_each_basis_once_for_its_levels(monkeypatch):
+    # one level problem per fit: G (and H) are evaluated once, not per level
+    import quasifit.linearize
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return basis_matrix(*args)
+
+    monkeypatch.setattr(quasifit.linearize, "basis_matrix", counted)
+    f = sample(parse("x^3", ["x"]), Grid((-1.0,), (1.0,), (0.1,)), ("x",))
+    numerator = BasisSpec.from_sources(["1", "x"], ["x"])
+    affine = ModelClass(("x",), MonotoneOuter.identity(), numerator)
+    rational = ModelClass(
+        ("x",),
+        MonotoneOuter.odd_power(3),
+        numerator,
+        BasisSpec.from_sources(["1", "x"], ["x"]),
+        (0, 1.0),
+        0.5,
+    )
+    for model, per_fit in ((affine, 1), (rational, 2)):
+        for eps in (1e-2, EPS):
+            calls.clear()
+            res = fit(model, f, epsilon=eps)
+            assert res.iterations > 1
+            assert len(calls) == per_fit, (model.denominator, eps, res.iterations)
 
 
 def test_tight_positivity_margin_respected():
@@ -251,6 +282,7 @@ def test_trace_pivots_repeat_on_resolve():
     f = sample(parse("x^2", ["x"]), Grid((0.0,), (1.0,), (0.125,)), ("x",))
     res = fit(model, f, epsilon=1e-4)
     assert res.trace and all(t.pivots > 0 for t in res.trace)
+    problem = LevelProblem(model, f)
     for t in res.trace:
-        _, _, sol = _oracle(model, f, t.z)
+        _, _, sol = _oracle(problem, t.z)
         assert sol.iterations == t.pivots

@@ -18,7 +18,7 @@ from quasifit.bisection import fit
 from quasifit.cli import _build_model
 from quasifit.expr import parse
 from quasifit.grid import Grid, sample
-from quasifit.linearize import LinearProgram, build_feasibility_lp
+from quasifit.linearize import LevelProblem, LinearProgram, build_feasibility_lp
 from quasifit.models import BasisSpec, ModelClass, MonotoneOuter
 from quasifit.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve
 
@@ -98,8 +98,9 @@ def test_rational_benchmark_oracle_levels_match_highs():
         (0, 1.0),
         1e-4,
     )
+    problem = LevelProblem(model, f)
     for z in (6.0297, 6.0299, 11.48):
-        lp = build_feasibility_lp(model, f, z)
+        lp = build_feasibility_lp(problem, z)
         ours = solve(lp)
         ref = _highs(lp)
         assert ours.status == OPTIMAL and ref.status == 0
@@ -116,8 +117,9 @@ def test_benchmark_trace_verdicts_match_highs(name):
     f = sample(target, grid, model.variables)
     res = fit(model, f, epsilon=config["solver"]["epsilon"])
     assert len(res.trace) == res.iterations > 0
+    problem = LevelProblem(model, f)
     for t in res.trace:
-        lp = build_feasibility_lp(model, f, t.z)
+        lp = build_feasibility_lp(problem, t.z)
         ref = scipy_opt.linprog(
             lp.objective, A_ub=lp.rows, b_ub=lp.rhs,
             bounds=[(None, None)] * (lp.variable_count - 1) + [(-1.0, None)],
