@@ -5,8 +5,12 @@ result JSON plus an optional surface CSV; `verify` re-checks a finished 1-D
 fit against the alternation count it needs for optimality; `convexity`
 exposes the finite convexity toolkit over small text files.
 
-Exit codes: 0 success, 2 config or input error, 3 infeasible start,
-4 numerical failure.
+Exit codes, with the `kind` of the one JSON error line on stderr: 0 success;
+2 `config` (`fit`) or `input` (`verify`, `convexity`) for a file that cannot
+be read, parsed or written or a bad config key or argument, and `evaluation`
+for a target or basis that fails or is not finite at a grid point;
+3 `infeasible_start` for a default denominator below the positivity margin;
+4 `solver` for a failed LP oracle or a fitted denominator below the margin.
 """
 
 from __future__ import annotations
@@ -16,16 +20,17 @@ import json
 import logging
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
 from . import axiomatic
 from .bisection import FitError, fit
-from .expr import ExprError, parse
+from .expr import EvaluationError, ExprError, parse
 from .grid import Grid, SampledFunction, sample, write_csv
 from .models import (
     BasisSpec,
+    DenominatorPositivityError,
     InfeasibleInitialCoefficientsError,
     ModelClass,
     MonotoneOuter,
@@ -49,6 +54,17 @@ log = logging.getLogger("quasifit")
 
 class ConfigError(ValueError):
     pass
+
+
+# What `main` makes of an exception from a command, first match wins:
+# (classes, exit code, error kind); kind None is the command's own kind for
+# bad input, "config" for `fit` and "input" for `verify` and `convexity`.
+_FAILURES = (
+    (InfeasibleInitialCoefficientsError, EXIT_INFEASIBLE, "infeasible_start"),
+    ((FitError, DenominatorPositivityError), EXIT_NUMERICAL, "solver"),
+    (EvaluationError, EXIT_CONFIG, "evaluation"),
+    ((OSError, ValueError, KeyError, TypeError), EXIT_CONFIG, None),
+)
 
 
 def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
@@ -108,43 +124,39 @@ def _as_vector(v, d: int) -> list[float]:
     return vec
 
 
-def _emit_error(code: int, kind: str, message: str) -> int:
-    sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
-    return code
+def _read(path: str, what: str, load: Callable[[TextIO], Any]) -> Any:
+    """`load` applied to the open file; failing to open or parse it is an input error naming it."""
+    try:
+        with open(path) as fh:
+            return load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _surface(fh: TextIO) -> tuple[list[np.ndarray], np.ndarray]:
+    """The coordinate columns and the residual column of a surface CSV."""
+    header = fh.readline().strip().split(",")
+    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(header):
+        raise ValueError(f"{len(header)} column names but {data.shape[1]} data columns")
+    coords = [data[:, i] for i, name in enumerate(header) if name.startswith("x")]
+    return coords, data[:, header.index("residual")]
 
 
 def cmd_fit(config_path: str) -> int:
-    try:
-        with open(config_path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _emit_error(EXIT_CONFIG, "config", f"cannot read config: {exc}")
+    config = _read(config_path, "config", json.load)
+    model, target, grid = _build_model(config)
+    solver_cfg = config.get("solver", {})
+    epsilon = float(solver_cfg.get("epsilon", 1e-6))
+    lp_cap = solver_cfg.get("max_iterations")
+    lp_cap = int(lp_cap) if lp_cap is not None else None
+    output_cfg = config["output"]
+    result_path = output_cfg["result_path"]
+    surface_path = output_cfg.get("surface_path")
 
-    try:
-        model, target, grid = _build_model(config)
-        solver_cfg = config.get("solver", {})
-        epsilon = float(solver_cfg.get("epsilon", 1e-6))
-        lp_cap = solver_cfg.get("max_iterations")
-        lp_cap = int(lp_cap) if lp_cap is not None else None
-        output_cfg = config["output"]
-        result_path = output_cfg["result_path"]
-        surface_path = output_cfg.get("surface_path")
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
-        return _emit_error(EXIT_CONFIG, "config", str(exc))
-
-    try:
-        sampled = sample(target, grid, model.variables)
-    except ExprError as exc:
-        return _emit_error(EXIT_CONFIG, "evaluation", str(exc))
-
+    sampled = sample(target, grid, model.variables)
     log.info("fitting %d points, %d free coefficients", len(sampled), len(model.coefficient_names()))
-    try:
-        result = fit(model, sampled, epsilon=epsilon, lp_max_iterations=lp_cap)
-    except InfeasibleInitialCoefficientsError as exc:
-        return _emit_error(EXIT_INFEASIBLE, "infeasible_start", str(exc))
-    except FitError as exc:
-        return _emit_error(EXIT_NUMERICAL, "solver", str(exc))
-
+    result = fit(model, sampled, epsilon=epsilon, lp_max_iterations=lp_cap)
     gvals = evaluate_model_values(model, result.coefficients, sampled.points)
 
     stored_surface = surface_path
@@ -174,13 +186,14 @@ def cmd_fit(config_path: str) -> int:
         "certificate": certificate,
         "surface_path": stored_surface,
     }
-    with open(result_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # the surface first: a result never points at a surface that failed to write
     if surface_path:
         columns = {"f": sampled.values, "g": gvals, "residual": sampled.values - gvals}
         with open(surface_path, "w") as fh:
             write_csv(fh, sampled.points, columns)
+    with open(result_path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(json.dumps({
         "achieved_deviation": result.achieved_deviation,
         "certified_bounds": [result.lower, result.upper],
@@ -191,29 +204,17 @@ def cmd_fit(config_path: str) -> int:
 
 
 def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
-    try:
-        with open(result_path) as fh:
-            result = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _emit_error(EXIT_CONFIG, "input", f"cannot read result: {exc}")
-
+    result = _read(result_path, "result", json.load)
+    if not isinstance(result, dict):
+        raise ConfigError(f"result {result_path} is not a JSON object")
     surface_path = result.get("surface_path")
     if not surface_path:
-        return _emit_error(EXIT_CONFIG, "input", "result has no surface_path; rerun fit with one")
-    try:
-        with open(os.path.join(os.path.dirname(result_path), surface_path)) as fh:
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    except OSError as exc:
-        return _emit_error(EXIT_CONFIG, "input", f"cannot read surface: {exc}")
-
-    coord_cols = [i for i, name in enumerate(header) if name.startswith("x")]
-    if len(coord_cols) != 1:
-        return _emit_error(
-            EXIT_CONFIG, "input",
-            f"alternation checks need a 1-D fit; surface has {len(coord_cols)} coordinates",
-        )
-    residuals = SampledFunction(data[:, coord_cols[0]].reshape(-1, 1), data[:, header.index("residual")])
+        raise ConfigError("result has no surface_path; rerun fit with one")
+    surface_file = os.path.join(os.path.dirname(result_path), surface_path)
+    coords, residual = _read(surface_file, "surface", _surface)
+    if len(coords) != 1:
+        raise ConfigError(f"alternation checks need a 1-D fit; surface has {len(coords)} coordinates")
+    residuals = SampledFunction(coords[0].reshape(-1, 1), residual)
     report = extract_alternations(residuals, tau=tau)
 
     if m is None:
@@ -239,42 +240,27 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
 
 
 def cmd_convexity(sub: str, path: str, query: str | None) -> int:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _emit_error(EXIT_CONFIG, "input", f"cannot read input: {exc}")
-
-    try:
-        if sub == "extension":
-            table = axiomatic.parse_function_table_csv(text)
-            members = axiomatic.convexity_extension(table)
-            fam = axiomatic.family_over_rows(table, members)
-            print(json.dumps({
-                "ground": list(fam.ground.labels),
-                "members": fam.member_labels(),
-            }, sort_keys=True))
-            return EXIT_OK
-
+    text = _read(path, "input", lambda fh: fh.read())
+    if sub == "extension":
+        table = axiomatic.parse_function_table_csv(text)
+        fam = axiomatic.family_over_rows(table, axiomatic.convexity_extension(table))
+        out = {"ground": list(fam.ground.labels), "members": fam.member_labels()}
+    else:
         family = axiomatic.parse_family_text(text)
         if sub == "check":
-            print(json.dumps({
+            out = {
                 "closure_space": axiomatic.is_closure_space(family),
                 "convexity_structure": axiomatic.is_convexity_structure(family),
-            }, sort_keys=True))
+            }
         elif sub == "caratheodory":
-            print(json.dumps({"caratheodory_number": axiomatic.caratheodory_number(family)}))
-        elif sub == "hull":
-            if not query:
-                return _emit_error(EXIT_CONFIG, "input", "hull requires --set with element labels")
+            out = {"caratheodory_number": axiomatic.caratheodory_number(family)}
+        elif not query:
+            raise ConfigError("hull requires --set with element labels")
+        else:
             labels = [t.strip() for t in query.split(",") if t.strip()]
             idx = [family.ground.index_of(lbl) for lbl in labels]
-            result = axiomatic.hull(family, idx)
-            print(json.dumps({"hull": [family.ground.labels[i] for i in sorted(result)]}))
-        else:
-            return _emit_error(EXIT_CONFIG, "input", f"unknown convexity subcommand {sub!r}")
-    except (axiomatic.SizeGuardError, ValueError, KeyError) as exc:
-        return _emit_error(EXIT_CONFIG, "input", str(exc))
+            out = {"hull": [family.ground.labels[i] for i in sorted(axiomatic.hull(family, idx))]}
+    print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
 
@@ -303,11 +289,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     level = os.environ.get("QUASIFIT_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
     args = build_parser().parse_args(argv)
-    if args.command == "fit":
-        return cmd_fit(args.config)
-    if args.command == "verify":
-        return cmd_verify(args.result, args.n, args.m, args.tau)
-    return cmd_convexity(args.sub, args.file, args.query)
+    try:
+        if args.command == "fit":
+            return cmd_fit(args.config)
+        if args.command == "verify":
+            return cmd_verify(args.result, args.n, args.m, args.tau)
+        return cmd_convexity(args.sub, args.file, args.query)
+    except Exception as exc:
+        for classes, code, kind in _FAILURES:
+            if isinstance(exc, classes):
+                log.debug("%s failed", args.command, exc_info=True)
+                kind = kind or ("config" if args.command == "fit" else "input")
+                sys.stderr.write(json.dumps({"error": {"kind": kind, "message": str(exc)}}) + "\n")
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 
 from .expr import EvaluationError, Expression, evaluate
 
-__all__ = ["Grid", "SampledFunction", "enumerate_points", "sample", "export_csv", "write_csv"]
+__all__ = ["Grid", "SampledFunction", "enumerate_points", "evaluate_at", "sample", "export_csv", "write_csv"]
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,20 @@ def sample(f: Expression, grid: Grid, variables: Sequence[str]) -> SampledFuncti
             f"expression has {len(variables)} variables but grid has dimension {grid.dimension}"
         )
     pts = enumerate_points(grid)
+    return SampledFunction(pts, evaluate_at(f, variables, pts), grid)
+
+
+def evaluate_at(f: Expression, variables: Sequence[str], points: np.ndarray) -> np.ndarray:
+    """`f` at every row of an (N, d) point array; a failure or non-finite value names its point."""
     try:
-        values = evaluate(f, dict(zip(variables, pts.T)))
+        values = evaluate(f, dict(zip(variables, points.T)))
     except EvaluationError as exc:
-        raise EvaluationError(f"{exc} at point {tuple(map(float, pts[exc.index]))}", exc.index) from exc
+        raise EvaluationError(f"{exc} at point {tuple(map(float, points[exc.index]))}", exc.index) from exc
     bad = ~np.isfinite(values)
     if bad.any():
         k = int(np.argmax(bad))
-        raise EvaluationError(f"non-finite value {values[k]} at point {tuple(map(float, pts[k]))}", k)
-    return SampledFunction(pts, values, grid)
+        raise EvaluationError(f"non-finite value {values[k]} at point {tuple(map(float, points[k]))}", k)
+    return values
 
 
 def export_csv(sf: SampledFunction, out: TextIO) -> None:

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expression, evaluate, parse, power, to_source
+from .expr import Expression, parse, power
+from .grid import evaluate_at
 
 __all__ = [
     "BasisSpec",
@@ -71,9 +72,6 @@ class BasisSpec:
     @classmethod
     def from_sources(cls, sources: Sequence[str], variables: Sequence[str]) -> "BasisSpec":
         return cls(tuple(parse(s, list(variables)) for s in sources))
-
-    def sources(self) -> list[str]:
-        return [to_source(f) for f in self.functions]
 
     def __len__(self) -> int:
         return len(self.functions)
@@ -200,12 +198,10 @@ def _check_shapes(model: ModelClass, coeffs: Coefficients) -> None:
 def basis_matrix(basis: BasisSpec, variables: Sequence[str], points: np.ndarray) -> np.ndarray:
     """Evaluate every basis function at every point: (N, len(basis)) array."""
     pts = np.atleast_2d(points)
-    columns = dict(zip(variables, pts.T))
+    # filled in place, so one evaluated column at a time is alive next to the matrix
     out = np.empty((pts.shape[0], len(basis)), dtype=float)
     for j, fn in enumerate(basis.functions):
-        out[:, j] = evaluate(fn, columns)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("basis function evaluated to a non-finite value on the domain")
+        out[:, j] = evaluate_at(fn, variables, pts)
     return out
 
 

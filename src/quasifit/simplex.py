@@ -112,8 +112,6 @@ class _Tableau:
                 r = int(ties[np.argmin(self.basis[ties])])
             else:
                 r = int(ties[0])
-            if abs(T[r, j]) < _PIV_MIN:
-                return NUMERICAL_FAILURE, -red[-1]
             if T[r, -1] <= 1e-12:
                 degenerate_run += 1
                 if degenerate_run > 5 * m:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasifit
 from quasifit import cli
 from quasifit.expr import parse
 from quasifit.grid import Grid, sample
@@ -116,6 +121,83 @@ def test_fit_infeasible_start_exit_3(tmp_path):
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps(config))
     assert cli.main(["fit", str(path)]) == 3
+
+
+def _crafted_result(tmp_path, surface_text, result=None):
+    (tmp_path / "s.csv").write_text(surface_text)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(result if result is not None else {
+        "coefficients": {"numerator": [0.0], "denominator": None},
+        "surface_path": "s.csv",
+    }))
+    return str(path)
+
+
+_SURFACE = "x1,f,g,residual\n-1.0,1.0,0.0,1.0\n0.0,0.0,0.0,0.0\n1.0,1.0,0.0,1.0\n"
+_POLE = {"lower": -1.0, "upper": 1.0, "step": 0.5}  # passes through x = 0
+_RATIONAL_POLE = {
+    "outer": "identity", "numerator_basis": ["1"],
+    "denominator_basis": ["1", "1/x"], "fixed_coefficient": {"index": 0, "value": 1.0},
+}
+
+
+def _fit_argv(tmp_path, **overrides):
+    path, _ = _write_config(tmp_path, **overrides)
+    return ["fit", str(path)]
+
+
+def _missing_dir_output(tmp_path, key):
+    output = {"result_path": str(tmp_path / "result.json"), "surface_path": str(tmp_path / "surface.csv")}
+    output[key] = str(tmp_path / "missing" / "out")
+    return _fit_argv(tmp_path, output=output)
+
+
+# inputs that once ended in a traceback: each exits 2 with its kind
+_UNHANDLED_INPUTS = {
+    "numerator-pole": ("evaluation", lambda tmp: _fit_argv(
+        tmp, grid=_POLE, model={"outer": "identity", "numerator_basis": ["1", "1/x"]})),
+    "denominator-pole": ("evaluation", lambda tmp: _fit_argv(tmp, grid=_POLE, model=_RATIONAL_POLE)),
+    "negative-epsilon": ("config", lambda tmp: _fit_argv(tmp, solver={"epsilon": -1})),
+    "result-in-missing-dir": ("config", lambda tmp: _missing_dir_output(tmp, "result_path")),
+    "surface-in-missing-dir": ("config", lambda tmp: _missing_dir_output(tmp, "surface_path")),
+    "surface-without-residual": ("input", lambda tmp: [
+        "verify", _crafted_result(tmp, "x1,f,g\n0.0,1.0,1.0\n"), "--n", "0"]),
+    "non-numeric-surface-cell": ("input", lambda tmp: [
+        "verify", _crafted_result(tmp, _SURFACE.replace("0.0,0.0,0.0,0.0", "0.0,0.0,zero,0.0")), "--n", "0"]),
+    "surface-narrower-than-header": ("input", lambda tmp: [
+        "verify", _crafted_result(tmp, "x1,f,g,residual\n-1.0,1.0\n1.0,1.0\n"), "--n", "0"]),
+    "result-not-an-object": ("input", lambda tmp: [
+        "verify", _crafted_result(tmp, _SURFACE, result=[1, 2]), "--n", "0"]),
+    "tau-out-of-range": ("input", lambda tmp: [
+        "verify", _crafted_result(tmp, _SURFACE), "--n", "0", "--tau", "2"]),
+}
+
+
+@pytest.mark.parametrize("kind, make_argv", _UNHANDLED_INPUTS.values(), ids=_UNHANDLED_INPUTS)
+def test_failure_exits_2_with_one_json_error_line(tmp_path, capsys, kind, make_argv):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"]["kind"] == kind
+    # no result is left behind, in particular none naming a surface that was never written
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_entry_point_reports_failure_without_traceback(tmp_path):
+    argv = _UNHANDLED_INPUTS["numerator-pole"][1](tmp_path)
+    src = str(Path(quasifit.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "QUASIFIT_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "quasifit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "evaluation"
+    assert error["message"].endswith("at point (0.0,)")
 
 
 def test_verify_degree_zero_fit_of_identity(tmp_path, capsys):

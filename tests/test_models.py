@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quasifit.expr import EvaluationError
 from quasifit.grid import Grid, enumerate_points
 from quasifit.models import (
     BasisSpec,
@@ -111,6 +112,21 @@ def test_default_initial_sign_changing_denominator_reports_points():
     failing = set(err.value.failing_points)
     assert (-1.0, 1.0) in failing and (1.0, -1.0) in failing
     assert "e.g. (-1.0, 0.0);" in str(err.value)
+
+
+def test_failing_basis_names_its_point():
+    pts = np.array([[-1.0], [0.0], [1.0]])
+    with pytest.raises(EvaluationError, match=r"^division by zero at point \(0\.0,\)$") as err:
+        basis_matrix(_basis(["1", "1/x"]), ["x"], pts)
+    assert err.value.index == 1
+
+
+def test_non_finite_basis_value_raises_evaluation_error():
+    # 1e200 * 1e200 overflows to inf without raising in the arithmetic itself
+    pts = np.array([[1.0], [1e200]])
+    with pytest.raises(EvaluationError, match=r"^non-finite value inf at point \(1e\+200,\)$") as err:
+        basis_matrix(_basis(["1", "x*x"]), ["x"], pts)
+    assert err.value.index == 1
 
 
 def test_vectorized_evaluation_matches_pointwise():
