@@ -341,34 +341,18 @@ def family_to_text(family: ConvexityFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_extended(token: str) -> float:
-    t = token.strip().lower()
-    if t in ("inf", "+inf", "infinity"):
-        return INF
-    if t == "-inf":
-        return -INF
-    return float(token)
-
-
 def parse_function_table_csv(text: str) -> FunctionTable:
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if len(rows) < 1:
         raise ValueError("function table needs a header row of element labels")
     ground = GroundSet(tuple(cell.strip() for cell in rows[0]))
-    values = tuple(tuple(_parse_extended(cell) for cell in row) for row in rows[1:])
+    values = tuple(tuple(float(cell) for cell in row) for row in rows[1:])
     return FunctionTable(ground, values)
 
 
 def function_table_to_csv(table: FunctionTable) -> str:
-    def fmt(v: float) -> str:
-        if v == INF:
-            return "inf"
-        if v == -INF:
-            return "-inf"
-        return repr(v)
-
     lines = [",".join(table.ground.labels)]
     for row in table.rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"

@@ -24,20 +24,11 @@ from .linearize import LevelProblem, build_feasibility_lp
 from .models import Coefficients, ModelClass, default_initial_coefficients, evaluate_model_values
 from .simplex import INFEASIBLE, OPTIMAL, LpSolution, solve
 
-__all__ = ["FitResult", "TraceEntry", "FitError", "OracleFailure", "fit", "certify_bracket", "expected_iterations"]
+__all__ = ["FitResult", "TraceEntry", "FitError", "fit", "certify_bracket", "expected_iterations"]
 
 
 class FitError(RuntimeError):
     """Fit could not start or the oracle returned an impossible verdict."""
-
-
-class OracleFailure(FitError):
-    """The LP solver failed numerically; carries the level being tested."""
-
-    def __init__(self, z: float, status: str):
-        super().__init__(f"LP oracle failed with status {status!r} at level z={z}")
-        self.z = z
-        self.status = status
 
 
 @dataclass(frozen=True)
@@ -78,7 +69,7 @@ def _oracle(
             f"oracle reported an infeasible LP at level z={z}, which contradicts "
             "the feasible starting coefficients"
         )
-    raise OracleFailure(z, sol.status)
+    raise FitError(f"LP oracle failed with status {sol.status!r} at level z={z}")
 
 
 def fit(

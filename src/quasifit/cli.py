@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
@@ -77,9 +78,9 @@ def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
         raise ConfigError(f"missing config key: {exc}") from None
 
     grid = Grid(
-        tuple(float(v) for v in _as_vector(grid_cfg["lower"], len(variables))),
-        tuple(float(v) for v in _as_vector(grid_cfg["upper"], len(variables))),
-        tuple(float(v) for v in _as_vector(grid_cfg["step"], len(variables))),
+        _as_vector(grid_cfg["lower"], len(variables)),
+        _as_vector(grid_cfg["upper"], len(variables)),
+        _as_vector(grid_cfg["step"], len(variables)),
     )
 
     try:
@@ -97,16 +98,12 @@ def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
         raise ConfigError(f"expression error: {exc}") from exc
 
     outer_kind = model_cfg.get("outer", "identity")
-    if outer_kind == "identity":
-        outer = MonotoneOuter.identity()
-    elif outer_kind == "odd_power":
-        outer = MonotoneOuter.odd_power(int(model_cfg.get("power", 1)))
-    else:
+    if outer_kind not in ("identity", "odd_power"):
         raise ConfigError(f"unknown outer kind {outer_kind!r}")
 
     model = ModelClass(
         variables=tuple(variables),
-        outer=outer,
+        outer=MonotoneOuter(int(model_cfg.get("power", 1)) if outer_kind == "odd_power" else 1),
         numerator=numerator,
         denominator=denominator,
         fixed_coefficient=fixed,
@@ -136,7 +133,10 @@ def _read(path: str, what: str, load: Callable[[TextIO], Any]) -> Any:
 def _surface(fh: TextIO) -> tuple[list[np.ndarray], np.ndarray]:
     """The coordinate columns and the residual column of a surface CSV."""
     header = fh.readline().strip().split(",")
-    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    rows = [line for line in fh if line.strip()]
+    if not rows:
+        raise ValueError("no data rows")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError(f"{len(header)} column names but {data.shape[1]} data columns")
     coords = [data[:, i] for i, name in enumerate(header) if name.startswith("x")]
@@ -145,6 +145,8 @@ def _surface(fh: TextIO) -> tuple[list[np.ndarray], np.ndarray]:
 
 def cmd_fit(config_path: str) -> int:
     config = _read(config_path, "config", json.load)
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {config_path} is not a JSON object")
     model, target, grid = _build_model(config)
     solver_cfg = config.get("solver", {})
     epsilon = float(solver_cfg.get("epsilon", 1e-6))
@@ -167,18 +169,11 @@ def cmd_fit(config_path: str) -> int:
     certificate = None
     if sampled.dimension == 1:
         residuals = SampledFunction(sampled.points, sampled.values - gvals)
-        certificate = extract_alternations(residuals).to_dict()
+        certificate = asdict(extract_alternations(residuals))
 
     payload = {
         "config": config,
-        "coefficients": {
-            "numerator": list(result.coefficients.numerator),
-            "denominator": (
-                list(result.coefficients.denominator)
-                if result.coefficients.denominator is not None
-                else None
-            ),
-        },
+        "coefficients": asdict(result.coefficients),
         "achieved_deviation": result.achieved_deviation,
         "certified_bounds": [result.lower, result.upper],
         "iterations": result.iterations,
@@ -231,7 +226,7 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
         defect = info.defect
 
     print(json.dumps({
-        "certificate": report.to_dict(),
+        "certificate": asdict(report),
         "required_count": needed,
         "defect": defect,
         "verdict": "optimal" if optimal else "not-certified",

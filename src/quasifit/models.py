@@ -79,37 +79,34 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class MonotoneOuter:
-    """Strictly increasing bijection of the reals: identity or an odd power."""
+    """Strictly increasing bijection of the reals t -> t**power, for one odd power.
 
-    kind: str  # "identity" | "odd_power"
+    Power 1 is the identity.
+    """
+
     power: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("identity", "odd_power"):
-            raise ValueError(f"unknown outer kind {self.kind!r}")
-        if self.kind == "odd_power":
-            if self.power < 1 or self.power % 2 == 0:
-                raise ValueError("odd_power requires a positive odd integer power")
-        elif self.power != 1:
-            raise ValueError("identity outer has no power parameter")
+        if not isinstance(self.power, int) or self.power < 1 or self.power % 2 == 0:
+            raise ValueError("odd_power requires a positive odd integer power")
 
     @classmethod
     def identity(cls) -> "MonotoneOuter":
-        return cls("identity")
+        return cls(1)
 
     @classmethod
     def odd_power(cls, p: int) -> "MonotoneOuter":
-        return cls("odd_power", p)
+        return cls(p)
 
     def forward(self, t: float | np.ndarray) -> np.ndarray:
         """phi elementwise; odd powers use numpy's power."""
         t = np.asarray(t, dtype=float)
-        return t if self.kind == "identity" else t**self.power
+        return t if self.power == 1 else t**self.power
 
     def inverse(self, s: float | np.ndarray) -> np.ndarray:
         """phi inverse elementwise; odd roots use libm pow, as Python's float ** does."""
         s = np.asarray(s, dtype=float)
-        if self.kind == "identity":
+        if self.power == 1:
             return s
         return np.copysign(power(np.abs(s), 1.0 / self.power), s)
 

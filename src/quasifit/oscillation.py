@@ -35,15 +35,6 @@ class AlternationReport:
     max_abs_residual: float
     exact_fit: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "point_indices": list(self.point_indices),
-            "signs": list(self.signs),
-            "count": self.count,
-            "max_abs_residual": self.max_abs_residual,
-            "exact_fit": self.exact_fit,
-        }
-
 
 @dataclass(frozen=True)
 class DefectInfo:
@@ -53,16 +44,11 @@ class DefectInfo:
     actual_denominator_degree: int  # q
 
     @property
-    def nu(self) -> int:
-        return self.nominal_numerator_degree - self.actual_numerator_degree
-
-    @property
-    def mu(self) -> int:
-        return self.nominal_denominator_degree - self.actual_denominator_degree
-
-    @property
     def defect(self) -> int:
-        return min(self.nu, self.mu)
+        return min(
+            self.nominal_numerator_degree - self.actual_numerator_degree,
+            self.nominal_denominator_degree - self.actual_denominator_degree,
+        )
 
 
 def extract_alternations(residuals: SampledFunction, tau: float = 1e-3) -> AlternationReport:

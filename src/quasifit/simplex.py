@@ -166,9 +166,7 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     Deterministic: identical input yields an identical pivot path, solution
     and iteration count.
     """
-    G = np.asarray(lp.rows, dtype=float)
-    h = np.asarray(lp.rhs, dtype=float)
-    c = np.asarray(lp.objective, dtype=float)
+    G, h, c = lp.rows, lp.rhs, lp.objective
     m, n = lp.row_count, lp.variable_count
     if m == 0:
         if np.any(c != 0.0):

@@ -448,6 +448,14 @@ def test_function_table_csv_roundtrip():
     assert parsed.rows == table.rows
 
 
+def test_function_table_csv_reads_infinity_spellings():
+    table = parse_function_table_csv("a,b,c,d,e\ninf,+inf, INF ,-Infinity,infinity\n")
+    assert table.rows == ((INF, INF, INF, -INF, INF),)
+    text = function_table_to_csv(table)
+    assert text == "a,b,c,d,e\ninf,inf,inf,-inf,inf\n"
+    assert parse_function_table_csv(text).rows == table.rows
+
+
 def test_function_table_rejects_nan():
     with pytest.raises(ValueError):
         FunctionTable(GroundSet(("p",)), ((math.nan,),))

@@ -3,7 +3,7 @@ import pytest
 
 from quasifit.bisection import certify_bracket, expected_iterations, fit
 from quasifit.expr import parse
-from quasifit.grid import Grid, SampledFunction, sample
+from quasifit.grid import Grid, SampledFunction, enumerate_points, sample
 from quasifit.linearize import LevelProblem
 from quasifit.models import (
     BasisSpec,
@@ -286,3 +286,72 @@ def test_trace_pivots_repeat_on_resolve():
     for t in res.trace:
         _, _, sol = _oracle(problem, t.z)
         assert sol.iterations == t.pivots
+
+
+# Invariances of the minimax problem on seeded random targets over a 9x9 grid.
+# Each fit's deviation lies in its certified bracket, epsilon wide, up to the
+# LP's own tolerance, so two fits of equivalent problems agree within _tol.
+_XY = ("x", "y")
+_MODELS = {
+    "identity-affine": (1, ["1", "x", "y", "x*y"], None),
+    "cube-affine": (3, ["1", "x", "y"], None),
+    "identity-rational": (1, ["1", "x", "y"], ["1", "x^2"]),
+}
+
+
+def _model(power, numerator, denominator):
+    if denominator is None:
+        return ModelClass(_XY, MonotoneOuter.odd_power(power), BasisSpec.from_sources(numerator, _XY))
+    return ModelClass(_XY, MonotoneOuter.odd_power(power), BasisSpec.from_sources(numerator, _XY),
+                      BasisSpec.from_sources(denominator, _XY), (0, 1.0))
+
+
+def _random_target(seed=0):
+    points = enumerate_points(Grid((-1.0, -1.0), (1.0, 1.0), (0.25, 0.25)))
+    return SampledFunction(points, np.random.default_rng(seed).normal(size=len(points)))
+
+
+def _deviation(model, f, epsilon=EPS):
+    return fit(model, f, epsilon=epsilon).achieved_deviation
+
+
+def _tol(f):
+    return EPS + 1e-8 * (1.0 + np.max(np.abs(f.values)))
+
+
+@pytest.mark.parametrize("case", _MODELS)
+def test_deviation_invariant_under_point_order(case):
+    model, f = _model(*_MODELS[case]), _random_target()
+    perm = np.random.default_rng(1).permutation(len(f.values))
+    shuffled = SampledFunction(f.points[perm], f.values[perm])
+    assert abs(_deviation(model, shuffled) - _deviation(model, f)) <= _tol(f)
+
+
+@pytest.mark.parametrize("case", _MODELS)
+def test_deviation_invariant_under_basis_order(case):
+    power, numerator, denominator = _MODELS[case]
+    f = _random_target()
+    reordered = _model(power, numerator[::-1], denominator)
+    assert abs(_deviation(reordered, f) - _deviation(_model(*_MODELS[case]), f)) <= _tol(f)
+
+
+@pytest.mark.parametrize("case", ["identity-affine", "identity-rational"])
+def test_deviation_scales_with_target_for_identity_outer(case):
+    # scaling f by s scales A, and the bracket with it, by s
+    model, f, s = _model(*_MODELS[case]), _random_target(), 2.5
+    scaled = SampledFunction(f.points, s * f.values)
+    assert abs(_deviation(model, scaled, s * EPS) - s * _deviation(model, f)) <= s * _tol(f)
+
+
+def test_deviation_invariant_under_adding_a_constant():
+    model, f = _model(*_MODELS["identity-affine"]), _random_target()
+    shifted = SampledFunction(f.points, f.values + 3.0)
+    assert abs(_deviation(model, shifted) - _deviation(model, f)) <= _tol(shifted)
+
+
+@pytest.mark.parametrize("case", _MODELS)
+def test_adding_a_basis_function_never_increases_deviation(case):
+    power, numerator, denominator = _MODELS[case]
+    f = _random_target()
+    larger = _model(power, numerator + ["y^2"], denominator)
+    assert _deviation(larger, f) <= _deviation(_model(*_MODELS[case]), f) + _tol(f)

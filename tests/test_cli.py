@@ -99,10 +99,12 @@ def test_fit_config_errors_exit_2(tmp_path):
     assert cli.main(["fit", str(no_output)]) == 2
 
 
-def test_fit_lp_iteration_cap_exit_4(tmp_path):
+def test_fit_lp_iteration_cap_exit_4(tmp_path, capsys):
     # a one-pivot budget starves the oracle, surfacing the numerical-failure path
     path, _ = _write_config(tmp_path, name="cap.json", solver={"epsilon": 1e-6, "max_iterations": 1})
     assert cli.main(["fit", str(path)]) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"].startswith("LP oracle failed with status 'numerical_failure'")
 
 
 def test_fit_infeasible_start_exit_3(tmp_path):
@@ -141,6 +143,12 @@ _RATIONAL_POLE = {
 }
 
 
+def _non_object_config(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("[1, 2]")
+    return ["fit", str(path)]
+
+
 def _fit_argv(tmp_path, **overrides):
     path, _ = _write_config(tmp_path, **overrides)
     return ["fit", str(path)]
@@ -152,7 +160,7 @@ def _missing_dir_output(tmp_path, key):
     return _fit_argv(tmp_path, output=output)
 
 
-# inputs that once ended in a traceback: each exits 2 with its kind
+# bad inputs, many of which once ended in a traceback: each exits 2 with its kind
 _UNHANDLED_INPUTS = {
     "numerator-pole": ("evaluation", lambda tmp: _fit_argv(
         tmp, grid=_POLE, model={"outer": "identity", "numerator_basis": ["1", "1/x"]})),
@@ -170,6 +178,11 @@ _UNHANDLED_INPUTS = {
         "verify", _crafted_result(tmp, _SURFACE, result=[1, 2]), "--n", "0"]),
     "tau-out-of-range": ("input", lambda tmp: [
         "verify", _crafted_result(tmp, _SURFACE), "--n", "0", "--tau", "2"]),
+    "header-only-surface": ("input", lambda tmp: [
+        "verify", _crafted_result(tmp, "x1,f,g,residual\n"), "--n", "0"]),
+    "config-not-an-object": ("config", _non_object_config),
+    "unknown-outer": ("config", lambda tmp: _fit_argv(
+        tmp, model={"outer": "sigmoid", "numerator_basis": ["1"]})),
 }
 
 
@@ -185,19 +198,40 @@ def test_failure_exits_2_with_one_json_error_line(tmp_path, capsys, kind, make_a
     assert not (tmp_path / "result.json").exists()
 
 
-def test_entry_point_reports_failure_without_traceback(tmp_path):
-    argv = _UNHANDLED_INPUTS["numerator-pole"][1](tmp_path)
+def _run_entry_point(argv):
     src = str(Path(quasifit.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "QUASIFIT_LOG"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "quasifit.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "quasifit.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_entry_point_reports_failure_without_traceback(tmp_path):
+    proc = _run_entry_point(_UNHANDLED_INPUTS["numerator-pole"][1](tmp_path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     (line,) = proc.stderr.splitlines()
     error = json.loads(line)["error"]
     assert error["kind"] == "evaluation"
     assert error["message"].endswith("at point (0.0,)")
+
+
+# run as a program, so that a library warning on stderr shows too; the
+# message names the file or the key at fault
+_ENTRY_POINT_MESSAGES = {
+    "header-only-surface": "cannot read surface {tmp}/s.csv: no data rows",
+    "config-not-an-object": "config {tmp}/c.json is not a JSON object",
+    "unknown-outer": "unknown outer kind 'sigmoid'",
+}
+
+
+@pytest.mark.parametrize("case, message", _ENTRY_POINT_MESSAGES.items(), ids=_ENTRY_POINT_MESSAGES)
+def test_entry_point_writes_one_json_error_line(tmp_path, case, message):
+    kind, make_argv = _UNHANDLED_INPUTS[case]
+    proc = _run_entry_point(make_argv(tmp_path))
+    assert proc.returncode == 2
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == {"kind": kind, "message": message.format(tmp=tmp_path)}
 
 
 def test_verify_degree_zero_fit_of_identity(tmp_path, capsys):

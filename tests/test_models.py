@@ -184,6 +184,10 @@ def test_outer_validation():
         MonotoneOuter("sigmoid")
 
 
+def test_identity_is_the_first_odd_power():
+    assert MonotoneOuter.odd_power(1) == MonotoneOuter.identity()
+
+
 def test_outer_is_strictly_increasing():
     outer = MonotoneOuter.odd_power(3)
     ts = np.linspace(-4.0, 4.0, 41)
