@@ -13,21 +13,37 @@ closed sets are exactly the generated support sets, so both families are
 enumerated from the closed sets alone.  Hulls and Caratheodory numbers are
 computed exhaustively; every enumeration runs under an explicit size guard.
 
-Subsets are frozensets of element indices; extended reals are floats with
-math.inf for plus infinity and -math.inf as the bottom element produced by
-empty suprema.  No arithmetic ever mixes the two infinities: only
-comparisons and pointwise max occur.
+Subsets are frozensets of element indices in the API; extended reals are
+floats with math.inf for plus infinity and -math.inf as the bottom element
+produced by empty suprema.  No arithmetic ever mixes the two infinities:
+only comparisons and pointwise max occur.
+
+The enumerations work on bitmasks instead: a set of indices is the int
+with bit i set for each member i (Python ints, so any ground size fits;
+numpy int64 arrays only where a size guard keeps the width at most 20).
+A table of k rows on n points gives the (k, n) row-mask table
+ge[i, x] = {j : row_j(x) >= row_i(x)}.  Row i lies below the supremum of a
+nonempty row set S exactly when S & ge[i, x] != 0 at every x (an x where
+row_i(x) is -inf puts every row in ge[i, x] and so sets no condition), so
+one vectorised pass closes a whole batch of row sets; the empty set's
+closure is the set of rows that are -inf everywhere.  The strict support
+set of sup(S) is the same test on gt[i, x] | inf_at[x], the rows strictly
+above row i at x or +inf there.  Caratheodory numbers come from a table of
+the hulls of all 2^n subsets, built by a superset-AND transform: start from
+each member's own mask (the full mask elsewhere) and, for each bit b, AND
+every subset without b with its superset with b, n vectorised passes over
+a 2^n array.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 __all__ = [
     "GroundSet",
@@ -54,6 +70,7 @@ __all__ = [
 ]
 
 INF = math.inf
+_BLOCK = 1 << 13  # elements in the largest array of one closure pass
 
 
 class SizeGuardError(ValueError):
@@ -129,15 +146,11 @@ def is_closure_space(family: ConvexityFamily) -> bool:
 
     Finite induction extends pairwise stability to arbitrary intersections.
     """
-    members = family.members
-    if frozenset() not in members or family.ground.full() not in members:
+    masks = [_mask(m) for m in family.members]
+    members = set(masks)
+    if 0 not in members or (1 << family.ground.size) - 1 not in members:
         return False
-    mem_list = list(members)
-    for i, a in enumerate(mem_list):
-        for b in mem_list[i + 1 :]:
-            if a & b not in members:
-                return False
-    return True
+    return all(members.issuperset({a & b for b in masks[i + 1 :]}) for i, a in enumerate(masks))
 
 
 def is_convexity_structure(family: ConvexityFamily) -> bool:
@@ -213,34 +226,70 @@ def indicator_lift(family: ConvexityFamily) -> FunctionTable:
     return FunctionTable(family.ground, tuple(rows))
 
 
+def _mask(subset: Iterable[int]) -> int:
+    """The bitmask of a set of indices."""
+    return sum(1 << i for i in subset)
+
+
+def _sets(masks: Iterable[int], width: int) -> frozenset[frozenset[int]]:
+    """The index sets of bitmasks of the given width."""
+    return frozenset(frozenset(i for i in range(width) if m >> i & 1) for m in masks)
+
+
+def _row_masks(table: FunctionTable, above) -> np.ndarray:
+    """(k, n) int64 masks: bit j of [i, x] is set when above(row_j(x), row_i(x))."""
+    k = len(table)
+    values = np.array(table.rows, dtype=float).reshape(k, table.ground.size)
+    weights = np.left_shift(1, np.arange(k, dtype=np.int64))
+    return np.einsum("ijx,j->ix", above(values[None, :, :], values[:, None, :]), weights)
+
+
+def _rows_met(sets: np.ndarray, row_masks: np.ndarray) -> np.ndarray:
+    """For each set S, the mask of rows i with S & row_masks[i, x] != 0 at every x."""
+    k, n = row_masks.shape
+    weights = np.left_shift(1, np.arange(k, dtype=np.int64))
+    step = max(1, _BLOCK // max(1, k * n))
+    out = np.empty(len(sets), dtype=np.int64)
+    for lo in range(0, len(sets), step):
+        hits = (sets[lo : lo + step, None, None] & row_masks) != 0
+        out[lo : lo + step] = hits.all(axis=2) @ weights
+    return out
+
+
+def _closed_masks(table: FunctionTable) -> list[int]:
+    """Masks of the closed sets of cl(S) = support_set(sup_of_rows(S)).
+
+    Enumerated from cl(empty set) by closing each set found with one more
+    row until no new set appears.  Every closed set is reached one row at a
+    time because cl(cl(A) | {i}) == cl(A | {i}); the k one-row extensions of
+    a batch of pending sets are closed in one pass.
+    """
+    k = len(table)
+    bottom = _mask(i for i, row in enumerate(table.rows) if all(v == -INF for v in row))
+    ge = _row_masks(table, np.greater_equal)
+    step = max(1, _BLOCK // max(1, k))
+    closed = {bottom}
+    pending = [bottom]
+    while pending:
+        extensions = {c | 1 << i for c in pending[-step:] for i in range(k)} - closed
+        del pending[-step:]
+        found = set(_rows_met(np.array(list(extensions), dtype=np.int64), ge).tolist()) - closed
+        closed |= found
+        pending.extend(found)
+    return sorted(closed)
+
+
 def l_convex_sets(table: FunctionTable) -> frozenset[frozenset[int]]:
     """Support sets of every pointwise supremum of rows.
 
-    These are the closed sets of cl(S) = support_set(sup_of_rows(S)),
-    enumerated from cl(empty set) by closing each set found with one more
-    row until no new set appears.  Every closed set is reached one row at a
-    time because cl(cl(A) | {i}) == cl(A | {i}), so the work is (closed
-    sets) x (rows) closures; closed sets can still number 2^k, hence the
-    guard.
+    These are the closed sets of cl(S) = support_set(sup_of_rows(S)); the
+    work is (closed sets) x (rows) closures, and closed sets can still
+    number 2^k, hence the guard.
     """
     k = len(table)
     if k > 20:
         raise SizeGuardError(f"l_convex_sets is limited to 20 rows, got {k}")
-
-    def closure(rows: Iterable[int]) -> frozenset[int]:
-        return support_set(table, sup_of_rows(table, rows))
-
-    closed = {closure(())}
-    pending = list(closed)
-    while pending:
-        c = pending.pop()
-        for i in range(k):
-            if i not in c:
-                d = closure(c | {i})
-                if d not in closed:
-                    closed.add(d)
-                    pending.append(d)
-    return frozenset(closed)
+    return _sets(_closed_masks(table), k)
 
 
 def convexity_extension(table: FunctionTable) -> frozenset[frozenset[int]]:
@@ -256,13 +305,17 @@ def convexity_extension(table: FunctionTable) -> frozenset[frozenset[int]]:
     k = len(table)
     if k > 12:
         raise SizeGuardError(f"convexity_extension is limited to 12 rows, got {k}")
+    closed = _closed_masks(table)
+    below = _row_masks(table, lambda a, b: (a > b) | (a == INF))
     out = set()
-    for c in l_convex_sets(table):
-        strict = strict_support_set(table, sup_of_rows(table, c))
-        gap = sorted(c - strict)
-        for size in range(len(gap) + 1):
-            out.update(strict.union(extra) for extra in combinations(gap, size))
-    return frozenset(out)
+    for c, strict in zip(closed, _rows_met(np.array(closed, dtype=np.int64), below).tolist()):
+        gap = extra = c & ~strict
+        while True:  # every submask of the gap, down to 0
+            out.add(strict | extra)
+            if not extra:
+                break
+            extra = (extra - 1) & gap
+    return _sets(out, k)
 
 
 def family_over_rows(table: FunctionTable, members: Iterable[frozenset[int]]) -> ConvexityFamily:
@@ -275,27 +328,26 @@ def caratheodory_number(family: ConvexityFamily) -> int:
     """Largest cardinality of a Caratheodory independent subset of the ground set.
 
     A nonempty subset is independent when its hull is not covered by the
-    hulls of its one-smaller subsets.
+    hulls of its one-smaller subsets.  Hulls, covers and sizes of all 2^n
+    subsets are arrays indexed by mask, each filled in n passes.
     """
     n = family.ground.size
     if n > 10:
         raise SizeGuardError(f"caratheodory_number is limited to ground size 10, got {n}")
     if not is_closure_space(family):
         raise ValueError("caratheodory_number requires a closure space")
-
-    @functools.cache
-    def cached_hull(s: frozenset[int]) -> frozenset[int]:
-        return hull(family, s)
-
-    def independent(s: frozenset[int]) -> bool:
-        covered = frozenset().union(*(cached_hull(s - {a}) for a in s))
-        return not cached_hull(s) <= covered
-
-    best = 0
-    for size in range(1, n + 1):
-        if any(independent(frozenset(combo)) for combo in combinations(range(n), size)):
-            best = size
-    return best
+    hulls = np.full(1 << n, (1 << n) - 1, dtype=np.int64)
+    members = np.array([_mask(m) for m in family.members], dtype=np.int64)
+    hulls[members] = members
+    covered = np.zeros_like(hulls)
+    sizes = np.zeros_like(hulls)
+    for b in range(n):  # superset-AND: hull(s) &= hull(s | {b}) for s without b
+        h = hulls.reshape(-1, 2, 1 << b)
+        h[:, 0] &= h[:, 1]
+    for b in range(n):  # s with b: covered by hull(s - {b}), one element larger
+        covered.reshape(-1, 2, 1 << b)[:, 1] |= hulls.reshape(-1, 2, 1 << b)[:, 0]
+        sizes.reshape(-1, 2, 1 << b)[:, 1] += 1
+    return int(sizes[(hulls & ~covered) != 0].max(initial=0))
 
 
 # -- text formats -------------------------------------------------------------

@@ -133,7 +133,7 @@ def _read(path: str, what: str, load: Callable[[TextIO], Any]) -> Any:
 def _surface(fh: TextIO) -> tuple[list[np.ndarray], np.ndarray]:
     """The coordinate columns and the residual column of a surface CSV."""
     header = fh.readline().strip().split(",")
-    rows = [line for line in fh if line.strip()]
+    rows = [line for line in fh if line.partition("#")[0].strip()]  # loadtxt drops comments too
     if not rows:
         raise ValueError("no data rows")
     data = np.loadtxt(rows, delimiter=",", ndmin=2)

@@ -1,8 +1,10 @@
+import functools
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasifit.axiomatic import (
     INF,
@@ -70,6 +72,20 @@ def test_missing_intersection_fails():
 def test_missing_empty_or_ground_fails():
     assert not is_closure_space(fam(2, [(0,), (0, 1)]))
     assert not is_closure_space(fam(2, [(), (0,)]))
+
+
+def test_closure_space_and_hull_past_64_elements():
+    # masks wider than any fixed-width integer
+    n = 70
+    low, high, overlap = frozenset(range(65)), frozenset(range(60, n)), frozenset(range(60, 65))
+    family = fam(n, [(), range(n), low, high, overlap, {69}])
+    assert is_closure_space(family)
+    assert not is_closure_space(fam(n, [(), range(n), low, high]))
+    assert not is_closure_space(fam(n, [(), low, high, overlap]))
+    assert hull(family, {62, 64}) == overlap
+    assert hull(family, {65}) == high
+    assert hull(family, {69}) == frozenset({69})
+    assert hull(family, {3, 66}) == frozenset(range(n))
 
 
 def test_convexity_structure_equals_closure_space_on_finite_families():
@@ -185,6 +201,12 @@ def test_l_convex_sets_duplicate_rows_move_together():
     table = FunctionTable(GroundSet(("p", "q")), ((1.0, 0.0), (1.0, 0.0), (2.0, 2.0)))
     for s in l_convex_sets(table):
         assert (0 in s) == (1 in s)
+
+
+def test_l_convex_sets_at_the_row_guard():
+    # a chain of 20 constants: the empty set and the 20 prefixes
+    table = FunctionTable(GroundSet(("p",)), tuple((float(i),) for i in range(20)))
+    assert l_convex_sets(table) == frozenset(frozenset(range(j)) for j in range(21))
 
 
 def test_l_convex_sets_guard():
@@ -307,6 +329,27 @@ def _reference_l_convex_sets(table):
     )
 
 
+def _reference_closure_enumeration(table):
+    """Closed sets of cl(S) = support_set(sup_of_rows(S)) as frozensets: close
+    each set found with one more row until no new set appears."""
+    k = len(table)
+
+    def closure(rows):
+        return support_set(table, sup_of_rows(table, rows))
+
+    closed = {closure(())}
+    pending = list(closed)
+    while pending:
+        c = pending.pop()
+        for i in range(k):
+            if i not in c:
+                d = closure(c | {i})
+                if d not in closed:
+                    closed.add(d)
+                    pending.append(d)
+    return frozenset(closed)
+
+
 def _reference_convexity_extension(table):
     """Every set between the strict and ordinary support sets of the supremum
     of each of the 2^k row subsets."""
@@ -345,6 +388,7 @@ def test_l_convex_sets_equal_subset_definition():
     for table in _reference_tables():
         generated = l_convex_sets(table)
         assert generated == _reference_l_convex_sets(table), table
+        assert generated == _reference_closure_enumeration(table), table
         assert type(generated) is frozenset
         assert all(type(m) is frozenset for m in generated)
 
@@ -355,6 +399,27 @@ def test_convexity_extension_equals_subset_definition():
         assert ext == _reference_convexity_extension(table), table
         assert type(ext) is frozenset
         assert all(type(m) is frozenset for m in ext)
+
+
+_VALUES = (-INF, 0.0, 1.0, 2.0, INF)
+
+
+@st.composite
+def _small_tables(draw):
+    """Up to 8 rows on up to 4 points, values from _VALUES, with rows repeated."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(_VALUES)] * n), max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=8 - len(rows)))
+    rows = draw(st.permutations(rows))
+    return FunctionTable(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(rows))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_small_tables())
+def test_enumerations_equal_subset_definitions_property(table):
+    assert l_convex_sets(table) == _reference_l_convex_sets(table)
+    assert convexity_extension(table) == _reference_convexity_extension(table)
 
 
 # --- Caratheodory numbers --------------------------------------------------------
@@ -400,6 +465,81 @@ def test_caratheodory_covering_property_small():
                     if found:
                         break
                 assert found
+
+
+# --- exact equality with the frozenset definitions --------------------------------
+
+
+def _reference_is_closure_space(family):
+    """Empty set and ground present, every pairwise intersection a member."""
+    members = family.members
+    if frozenset() not in members or family.ground.full() not in members:
+        return False
+    mem_list = list(members)
+    for i, a in enumerate(mem_list):
+        for b in mem_list[i + 1 :]:
+            if a & b not in members:
+                return False
+    return True
+
+
+def _reference_caratheodory_number(family):
+    """Largest subset whose hull is not covered by the hulls of its one-smaller
+    subsets, each hull a scan over all members."""
+    n = family.ground.size
+    if not _reference_is_closure_space(family):
+        raise ValueError("caratheodory_number requires a closure space")
+
+    @functools.cache
+    def cached_hull(s):
+        return hull(family, s)
+
+    def independent(s):
+        covered = frozenset().union(*(cached_hull(s - {a}) for a in s))
+        return not cached_hull(s) <= covered
+
+    best = 0
+    for size in range(1, n + 1):
+        if any(independent(frozenset(combo)) for combo in combinations(range(n), size)):
+            best = size
+    return best
+
+
+def _random_closure_spaces():
+    """Seeded closure spaces on up to 8 elements: the ground and the empty set,
+    then a few random sets together with their intersections with every member."""
+    rng = np.random.default_rng(47)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        members = {frozenset(), frozenset(range(n))}
+        for _ in range(int(rng.integers(0, 6))):
+            c = frozenset(np.flatnonzero(rng.random(n) < 0.5).tolist())
+            members |= {c & m for m in members}
+        yield fam(n, members)
+
+
+def _assert_matches_references(family):
+    closure_space = _reference_is_closure_space(family)
+    assert is_closure_space(family) == closure_space, family
+    if closure_space:
+        assert caratheodory_number(family) == _reference_caratheodory_number(family), family
+    else:
+        with pytest.raises(ValueError, match="requires a closure space"):
+            caratheodory_number(family)
+
+
+def test_closure_space_and_caratheodory_equal_references():
+    verdicts = set()
+    for family in _random_closure_spaces():
+        _assert_matches_references(family)
+        for member in family.members:  # one-member deletions, mostly not closure spaces
+            smaller = ConvexityFamily(family.ground, family.members - {member})
+            _assert_matches_references(smaller)
+            verdicts.add(is_closure_space(smaller))
+    assert verdicts == {True, False}
+    for family in (interval_family(10), power_family(10)):
+        assert is_closure_space(family)
+        assert caratheodory_number(family) == _reference_caratheodory_number(family)
 
 
 # --- sup_of_rows edge cases ------------------------------------------------------

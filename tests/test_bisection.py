@@ -355,3 +355,15 @@ def test_adding_a_basis_function_never_increases_deviation(case):
     f = _random_target()
     larger = _model(power, numerator + ["y^2"], denominator)
     assert _deviation(larger, f) <= _deviation(_model(*_MODELS[case]), f) + _tol(f)
+
+
+@pytest.mark.parametrize("case", _MODELS)
+def test_refined_grid_never_decreases_deviation(case):
+    # the 9x9 grid holds every point of the 5x5 grid of step 0.5, with the
+    # same target values there, so its best deviation can only be larger
+    model, fine = _model(*_MODELS[case]), _random_target()
+    coarse_points = enumerate_points(Grid((-1.0, -1.0), (1.0, 1.0), (0.5, 0.5)))
+    on_coarse = (fine.points[:, None, :] == coarse_points[None, :, :]).all(axis=2).any(axis=1)
+    assert on_coarse.sum() == len(coarse_points)
+    coarse = SampledFunction(fine.points[on_coarse], fine.values[on_coarse])
+    assert _deviation(model, fine) >= _deviation(model, coarse) - _tol(fine)

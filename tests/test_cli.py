@@ -180,6 +180,8 @@ _UNHANDLED_INPUTS = {
         "verify", _crafted_result(tmp, _SURFACE), "--n", "0", "--tau", "2"]),
     "header-only-surface": ("input", lambda tmp: [
         "verify", _crafted_result(tmp, "x1,f,g,residual\n"), "--n", "0"]),
+    "comment-only-surface": ("input", lambda tmp: [
+        "verify", _crafted_result(tmp, "x1,f,g,residual\n# no rows yet\n"), "--n", "0"]),
     "config-not-an-object": ("config", _non_object_config),
     "unknown-outer": ("config", lambda tmp: _fit_argv(
         tmp, model={"outer": "sigmoid", "numerator_basis": ["1"]})),
@@ -220,6 +222,7 @@ def test_entry_point_reports_failure_without_traceback(tmp_path):
 # message names the file or the key at fault
 _ENTRY_POINT_MESSAGES = {
     "header-only-surface": "cannot read surface {tmp}/s.csv: no data rows",
+    "comment-only-surface": "cannot read surface {tmp}/s.csv: no data rows",
     "config-not-an-object": "config {tmp}/c.json is not a JSON object",
     "unknown-outer": "unknown outer kind 'sigmoid'",
 }
