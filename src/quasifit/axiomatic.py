@@ -334,8 +334,6 @@ def caratheodory_number(family: ConvexityFamily) -> int:
     n = family.ground.size
     if n > 10:
         raise SizeGuardError(f"caratheodory_number is limited to ground size 10, got {n}")
-    if not is_closure_space(family):
-        raise ValueError("caratheodory_number requires a closure space")
     hulls = np.full(1 << n, (1 << n) - 1, dtype=np.int64)
     members = np.array([_mask(m) for m in family.members], dtype=np.int64)
     hulls[members] = members
@@ -344,6 +342,15 @@ def caratheodory_number(family: ConvexityFamily) -> int:
     for b in range(n):  # superset-AND: hull(s) &= hull(s | {b}) for s without b
         h = hulls.reshape(-1, 2, 1 << b)
         h[:, 0] &= h[:, 1]
+    # the hulls' fixed points are the intersections of members, so with the
+    # empty set and the ground present the family is a closure space exactly
+    # when they are no more than its members
+    if (
+        frozenset() not in family.members
+        or family.ground.full() not in family.members
+        or np.count_nonzero(hulls == np.arange(1 << n)) != len(members)
+    ):
+        raise ValueError("caratheodory_number requires a closure space")
     for b in range(n):  # s with b: covered by hull(s - {b}), one element larger
         covered.reshape(-1, 2, 1 << b)[:, 1] |= hulls.reshape(-1, 2, 1 << b)[:, 0]
         sizes.reshape(-1, 2, 1 << b)[:, 1] += 1

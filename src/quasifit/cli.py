@@ -160,6 +160,7 @@ def cmd_fit(config_path: str) -> int:
     log.info("fitting %d points, %d free coefficients", len(sampled), len(model.coefficient_names()))
     result = fit(model, sampled, epsilon=epsilon, lp_max_iterations=lp_cap)
     gvals = evaluate_model_values(model, result.coefficients, sampled.points)
+    residual = sampled.values - gvals
 
     stored_surface = surface_path
     if surface_path and not os.path.isabs(surface_path):
@@ -168,8 +169,7 @@ def cmd_fit(config_path: str) -> int:
 
     certificate = None
     if sampled.dimension == 1:
-        residuals = SampledFunction(sampled.points, sampled.values - gvals)
-        certificate = asdict(extract_alternations(residuals))
+        certificate = asdict(extract_alternations(SampledFunction(sampled.points, residual)))
 
     payload = {
         "config": config,
@@ -183,7 +183,7 @@ def cmd_fit(config_path: str) -> int:
     }
     # the surface first: a result never points at a surface that failed to write
     if surface_path:
-        columns = {"f": sampled.values, "g": gvals, "residual": sampled.values - gvals}
+        columns = {"f": sampled.values, "g": gvals, "residual": residual}
         with open(surface_path, "w") as fh:
             write_csv(fh, sampled.points, columns)
     with open(result_path, "w") as fh:

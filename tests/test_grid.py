@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasifit.expr import EvaluationError, parse
-from quasifit.grid import Grid, SampledFunction, enumerate_points, export_csv, sample
+from quasifit.grid import Grid, SampledFunction, enumerate_points, export_csv, sample, write_csv
 
 
 def test_unit_interval_step_tenth():
@@ -160,3 +160,60 @@ def test_csv_export_roundtrip():
     parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed[:, :2], sf.points)
     assert np.array_equal(parsed[:, 2], sf.values)
+
+
+def _reference_write_csv(out, points, columns):
+    """Row-by-row writer that `write_csv` must match byte for byte."""
+    out.write(",".join([f"x{i + 1}" for i in range(points.shape[1])] + list(columns)) + "\n")
+    cells = [map(repr, map(float, col)) for col in [*points.T, *columns.values()]]
+    for row in zip(*cells):
+        out.write(",".join(row) + "\n")
+
+
+def _tricky_table(rng, rows, cols):
+    """Half the cells from a small pool holding both zeros, both infinities and
+    neighbours one ulp apart, so blocks repeat values; the rest all distinct."""
+    base = rng.standard_normal(8)
+    pool = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 5e-324, -5e-324],
+        base,
+        np.nextafter(base, np.inf),
+    ])
+    shape = (rows, cols)
+    return np.where(rng.random(shape) < 0.5, rng.choice(pool, shape), rng.standard_normal(shape))
+
+
+def _csv_text(writer, points, columns):
+    buf = io.StringIO()
+    writer(buf, points, columns)
+    return buf.getvalue()
+
+
+def _assert_same_text(got, expected):
+    """A mismatch names its first differing line; a full diff of 8,000 lines takes minutes."""
+    for k, (a, b) in enumerate(zip(got.splitlines(), expected.splitlines())):
+        assert a == b, f"line {k}"
+    assert len(got) == len(expected) and got == expected
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_write_csv_matches_row_by_row_writer(rows, dim):
+    rng = np.random.default_rng(10 * rows + dim)
+    table = _tricky_table(rng, rows, 2 * dim + 3)
+    points = table[:, : 2 * dim : 2]  # strided columns of a row-major table
+    columns = {"f": table[:, 2 * dim], "g": np.ascontiguousarray(table[:, 2 * dim + 1]), "residual": table[:, -1]}
+    _assert_same_text(_csv_text(write_csv, points, columns), _csv_text(_reference_write_csv, points, columns))
+    if rows > 1:
+        assert not points.flags.c_contiguous and not columns["f"].flags.c_contiguous
+
+
+def test_write_csv_roundtrip_is_bit_exact():
+    rng = np.random.default_rng(7)
+    table = _tricky_table(rng, 4097, 4)
+    text = _csv_text(write_csv, table[:, :2], {"f": table[:, 2], "g": table[:, 3]})
+    lines = text.splitlines()
+    assert lines[0] == "x1,x2,f,g"
+    parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(parsed.view(np.int64), table.view(np.int64))
+    assert np.any(table.view(np.int64) == np.float64(-0.0).view(np.int64))
