@@ -46,6 +46,7 @@ class FitResult:
     upper: float
     achieved_deviation: float
     iterations: int
+    model_values: np.ndarray  # the final model at every point, behind achieved_deviation
     trace: list[TraceEntry] = field(default_factory=list)
 
     @property
@@ -105,7 +106,7 @@ def fit(
     final = best if best is not None else initial
     g = evaluate_model_values(model, final, f.points)
     achieved = float(np.max(np.abs(f.values - g)))
-    return FitResult(final, lower, upper, achieved, len(trace), trace)
+    return FitResult(final, lower, upper, achieved, len(trace), g, trace)
 
 
 def expected_iterations(u0: float, epsilon: float) -> int:

@@ -35,7 +35,6 @@ from .models import (
     InfeasibleInitialCoefficientsError,
     ModelClass,
     MonotoneOuter,
-    evaluate_model_values,
 )
 from .oscillation import (
     check_polynomial_optimality,
@@ -69,14 +68,9 @@ _FAILURES = (
 
 
 def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
-    try:
-        variables = [str(v) for v in config["variables"]]
-        target_src = config["target"]
-        grid_cfg = config["grid"]
-        model_cfg = config["model"]
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from None
-
+    variables = [str(v) for v in config["variables"]]
+    grid_cfg = config["grid"]
+    model_cfg = config["model"]
     grid = Grid(
         _as_vector(grid_cfg["lower"], len(variables)),
         _as_vector(grid_cfg["upper"], len(variables)),
@@ -84,7 +78,7 @@ def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
     )
 
     try:
-        target = parse(target_src, variables)
+        target = parse(config["target"], variables)
         numerator = BasisSpec.from_sources(model_cfg["numerator_basis"], variables)
         denominator = None
         fixed = None
@@ -147,20 +141,21 @@ def cmd_fit(config_path: str) -> int:
     config = _read(config_path, "config", json.load)
     if not isinstance(config, dict):
         raise ConfigError(f"config {config_path} is not a JSON object")
-    model, target, grid = _build_model(config)
-    solver_cfg = config.get("solver", {})
-    epsilon = float(solver_cfg.get("epsilon", 1e-6))
-    lp_cap = solver_cfg.get("max_iterations")
-    lp_cap = int(lp_cap) if lp_cap is not None else None
-    output_cfg = config["output"]
-    result_path = output_cfg["result_path"]
-    surface_path = output_cfg.get("surface_path")
+    try:
+        model, target, grid = _build_model(config)
+        solver_cfg = config.get("solver", {})
+        epsilon = float(solver_cfg.get("epsilon", 1e-6))
+        lp_cap = solver_cfg.get("max_iterations")
+        lp_cap = int(lp_cap) if lp_cap is not None else None
+        result_path = config["output"]["result_path"]
+        surface_path = config["output"].get("surface_path")
+    except KeyError as exc:
+        raise ConfigError(f"missing config key: {exc}") from None
 
     sampled = sample(target, grid, model.variables)
     log.info("fitting %d points, %d free coefficients", len(sampled), len(model.coefficient_names()))
     result = fit(model, sampled, epsilon=epsilon, lp_max_iterations=lp_cap)
-    gvals = evaluate_model_values(model, result.coefficients, sampled.points)
-    residual = sampled.values - gvals
+    residual = sampled.values - result.model_values
 
     stored_surface = surface_path
     if surface_path and not os.path.isabs(surface_path):
@@ -183,7 +178,7 @@ def cmd_fit(config_path: str) -> int:
     }
     # the surface first: a result never points at a surface that failed to write
     if surface_path:
-        columns = {"f": sampled.values, "g": gvals, "residual": residual}
+        columns = {"f": sampled.values, "g": result.model_values, "residual": residual}
         with open(surface_path, "w") as fh:
             write_csv(fh, sampled.points, columns)
     with open(result_path, "w") as fh:
@@ -243,10 +238,9 @@ def cmd_convexity(sub: str, path: str, query: str | None) -> int:
     else:
         family = axiomatic.parse_family_text(text)
         if sub == "check":
-            out = {
-                "closure_space": axiomatic.is_closure_space(family),
-                "convexity_structure": axiomatic.is_convexity_structure(family),
-            }
+            # a finite closure space is a convexity structure (is_convexity_structure)
+            closed = axiomatic.is_closure_space(family)
+            out = {"closure_space": closed, "convexity_structure": closed}
         elif sub == "caratheodory":
             out = {"caratheodory_number": axiomatic.caratheodory_number(family)}
         elif not query:

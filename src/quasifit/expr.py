@@ -103,28 +103,25 @@ class Pow:
 Expression = Union[Const, Var, Neg, BinOp, Pow]
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"  # whitespace matches no group and is skipped
 )
+
+# Deepest nesting a parse accepts, both of its descent (parentheses, unary
+# minus, exponent chains) and of the operators in the tree it builds.  Every
+# walk over a tree recurses once per level, so this keeps each far from the
+# interpreter's recursion limit.
+_MAX_DEPTH = 100
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            # skip leading whitespace before reporting
-            stripped = pos
-            while stripped < len(source) and source[stripped].isspace():
-                stripped += 1
-            if stripped == len(source):
-                break
-            raise ExprSyntaxError(f"unexpected character {source[stripped]!r}", stripped)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN.finditer(source):
+        if m.lastgroup == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -135,6 +132,8 @@ class _Parser:
         self.variables = set(variables)
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0  # levels of the descent in progress
+        self.height = 0  # operator levels of the tree last built
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -150,6 +149,23 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         self.advance()
 
+    def within(self, levels: int, pos: int) -> int:
+        if levels > _MAX_DEPTH:
+            raise ExprSyntaxError("expression is nested too deeply", pos)
+        return levels
+
+    def descend(self, rule, pos: int):
+        """rule() one level deeper."""
+        self.depth = self.within(self.depth + 1, pos)
+        result = rule()
+        self.depth -= 1
+        return result
+
+    def built(self, node: Expression, pos: int, left: int = 0) -> Expression:
+        """node, one operator level above its operands; `left` is a left operand's height."""
+        self.height = self.within(max(left, self.height) + 1, pos)
+        return node
+
     def parse(self) -> Expression:
         node = self.expr()
         kind, text, pos = self.peek()
@@ -160,36 +176,38 @@ class _Parser:
     def expr(self) -> Expression:
         node = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = BinOp(text, node, self.term())
+                left = self.height
+                node = self.built(BinOp(text, node, self.term()), pos, left)
             else:
                 return node
 
     def term(self) -> Expression:
         node = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = BinOp(text, node, self.factor())
+                left = self.height
+                node = self.built(BinOp(text, node, self.factor()), pos, left)
             else:
                 return node
 
     def factor(self) -> Expression:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
+            return self.built(Neg(self.descend(self.factor, pos)), pos)
         return self.power()
 
     def power(self) -> Expression:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return Pow(base, self.exponent())
+            return self.built(Pow(base, self.exponent()), pos)
         return base
 
     def exponent(self) -> int:
@@ -197,7 +215,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return -self.exponent()
+            return -self.descend(self.exponent, pos)
         if kind != "number":
             raise ExprSyntaxError("expected integer exponent", pos)
         if not text.isdigit():
@@ -207,14 +225,19 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            rest = self.exponent()
+            rest = self.descend(self.exponent, pos)
             if rest < 0:
                 raise ExprSyntaxError("exponent must be an integer literal", pos)
+            # value**rest has at least (bits - 1) * rest + 1 bits: refuse a huge
+            # power before taking it
+            if value > 1 and (value.bit_length() - 1) * rest >= 64 or value**rest > 2**63:
+                raise ExprSyntaxError("exponent too large", pos)
             value = value**rest
         return value
 
     def atom(self) -> Expression:
         kind, text, pos = self.advance()
+        self.height = 0
         if kind == "number":
             return Const(float(text))
         if kind == "ident":
@@ -222,7 +245,7 @@ class _Parser:
                 raise UnknownVariableError(f"unknown identifier {text!r}", pos)
             return Var(text)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.descend(self.expr, pos)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", pos)

@@ -7,6 +7,7 @@ per-axis lower/upper bounds and step sizes, with both endpoints included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -54,10 +55,7 @@ class Grid:
         )
 
     def cardinality(self) -> int:
-        n = 1
-        for c in self.axis_counts():
-            n *= c
-        return n
+        return math.prod(self.axis_counts())
 
 
 def enumerate_points(grid: Grid) -> np.ndarray:

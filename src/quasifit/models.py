@@ -237,14 +237,8 @@ def default_initial_coefficients(model: ModelClass, points: np.ndarray | None = 
     resulting denominator is checked against the positivity margin; failure
     raises with the offending points so the caller can supply a start.
     """
-    a = tuple(0.0 for _ in range(len(model.numerator)))
-    if model.denominator is None:
-        return Coefficients(a, None)
-    b = [0.0] * len(model.denominator)
-    idx, val = model.fixed_coefficient
-    b[idx] = val
-    coeffs = Coefficients(a, tuple(b))
-    if points is not None:
+    coeffs = model.coefficients_from_free([0.0] * len(model.coefficient_names()))
+    if model.denominator is not None and points is not None:
         pts = np.atleast_2d(points)
         hmat = basis_matrix(model.denominator, model.variables, pts)
         den = _combine(hmat, coeffs.denominator)

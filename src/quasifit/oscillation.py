@@ -26,6 +26,8 @@ __all__ = [
     "effective_degree",
 ]
 
+_REL_TOL = 1e-8  # a coefficient below this fraction of the norm does not raise the degree
+
 
 @dataclass(frozen=True)
 class AlternationReport:
@@ -72,25 +74,14 @@ def extract_alternations(residuals: SampledFunction, tau: float = 1e-3) -> Alter
     if max_abs == 0.0:
         return AlternationReport((), (), len(vals), 0.0, exact_fit=True)
 
-    threshold = (1.0 - tau) * max_abs
-    points: list[int] = []
-    signs: list[int] = []
-    last_sign = 0
-    block_best = -1.0
-    for k, v in enumerate(vals):
-        if abs(v) < threshold:
-            continue
-        s = 1 if v > 0 else -1
-        if s != last_sign:
-            points.append(k)
-            signs.append(s)
-            last_sign = s
-            block_best = abs(v)
-        elif abs(v) > block_best:
-            # same-sign run: keep the strongest representative
-            points[-1] = k
-            block_best = abs(v)
-    return AlternationReport(tuple(points), tuple(signs), len(points), max_abs)
+    near = np.flatnonzero(np.abs(vals) >= (1.0 - tau) * max_abs)
+    mags = np.abs(vals[near])
+    signs = np.where(vals[near] > 0, 1, -1)  # -0.0 counts as negative
+    starts = np.flatnonzero(np.diff(signs, prepend=0))  # where each same-sign run begins
+    # one representative per run: its largest |v|, the first on ties (lexsort is stable)
+    runs = np.repeat(np.arange(starts.size), np.diff(starts, append=near.size))
+    points = near[np.lexsort((-mags, runs))[starts]]
+    return AlternationReport(tuple(points.tolist()), tuple(signs[starts].tolist()), starts.size, max_abs)
 
 
 def check_polynomial_optimality(n: int, report: AlternationReport) -> bool:
@@ -112,8 +103,8 @@ def compute_defect(n: int, m: int, p: int, q: int) -> DefectInfo:
     return DefectInfo(n, m, p, q)
 
 
-def effective_degree(coefficients, rel_tol: float = 1e-8) -> int:
-    """Largest index whose coefficient is significant against the vector norm.
+def effective_degree(coefficients) -> int:
+    """Largest index whose coefficient is at least `_REL_TOL` times the vector norm.
 
     Coefficients are in ascending degree order.  The zero vector reports
     degree 0.
@@ -122,5 +113,5 @@ def effective_degree(coefficients, rel_tol: float = 1e-8) -> int:
     scale = float(np.linalg.norm(c))
     if scale == 0.0:
         return 0
-    significant = np.flatnonzero(np.abs(c) >= rel_tol * scale)
+    significant = np.flatnonzero(np.abs(c) >= _REL_TOL * scale)
     return int(significant[-1]) if significant.size else 0

@@ -12,6 +12,7 @@ from quasifit.models import (
     ModelClass,
     MonotoneOuter,
     basis_matrix,
+    evaluate_model_values,
 )
 
 EPS = 1e-6
@@ -55,6 +56,20 @@ def test_exact_membership_rational():
     hmat = basis_matrix(model.denominator, model.variables, f.points)
     den = hmat @ np.array(res.coefficients.denominator)
     assert np.all(den >= model.delta * (1 - 1e-9))
+
+
+def test_model_values_are_the_final_coefficients_evaluated():
+    # the values behind achieved_deviation, bit for bit, so no caller evaluates again
+    f = sample(parse("x^3/(2-x)", ["x"]), Grid((-1.0,), (1.0,), (0.1,)), ["x"])
+    numerator = BasisSpec.from_sources(["1", "x"], ["x"])
+    affine = ModelClass(("x",), MonotoneOuter.identity(), numerator)
+    rational = ModelClass(("x",), MonotoneOuter.odd_power(3), numerator,
+                          BasisSpec.from_sources(["1", "x", "x^2"], ["x"]), (0, 1.0))
+    for model in (affine, rational):
+        res = fit(model, f, epsilon=EPS)
+        direct = evaluate_model_values(model, res.coefficients, f.points)
+        assert res.model_values.tobytes() == direct.tobytes()
+        assert res.achieved_deviation == float(np.max(np.abs(f.values - res.model_values)))
 
 
 def test_zero_target_terminates_immediately():

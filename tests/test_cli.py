@@ -185,6 +185,9 @@ _UNHANDLED_INPUTS = {
     "config-not-an-object": ("config", _non_object_config),
     "unknown-outer": ("config", lambda tmp: _fit_argv(
         tmp, model={"outer": "sigmoid", "numerator_basis": ["1"]})),
+    "deep-parentheses": ("config", lambda tmp: _fit_argv(tmp, target="(" * 300 + "x" + ")" * 300)),
+    "long-unary-minus": ("config", lambda tmp: _fit_argv(tmp, target="-" * 2000 + "x")),
+    "long-sum": ("config", lambda tmp: _fit_argv(tmp, target="+".join(["x"] * 3000))),
 }
 
 
@@ -225,6 +228,9 @@ _ENTRY_POINT_MESSAGES = {
     "comment-only-surface": "cannot read surface {tmp}/s.csv: no data rows",
     "config-not-an-object": "config {tmp}/c.json is not a JSON object",
     "unknown-outer": "unknown outer kind 'sigmoid'",
+    "deep-parentheses": "expression error: expression is nested too deeply (at offset 100)",
+    "long-unary-minus": "expression error: expression is nested too deeply (at offset 100)",
+    "long-sum": "expression error: expression is nested too deeply (at offset 201)",
 }
 
 
@@ -235,6 +241,72 @@ def test_entry_point_writes_one_json_error_line(tmp_path, case, message):
     assert proc.returncode == 2
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["error"] == {"kind": kind, "message": message.format(tmp=tmp_path)}
+
+
+def _without(config, *path):
+    """A copy of the config without the key at the end of `path`."""
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return config
+
+
+_RATIONAL_MODEL = {
+    "outer": "odd_power", "power": 3, "numerator_basis": ["1", "x"],
+    "denominator_basis": ["1", "x", "x^2"], "fixed_coefficient": {"index": 0, "value": 1.0},
+}
+
+
+@pytest.mark.parametrize("path", [
+    ("variables",), ("target",), ("grid",), ("model",), ("grid", "lower"), ("grid", "step"),
+    ("model", "numerator_basis"), ("output",), ("output", "result_path"),
+    ("model", "fixed_coefficient", "index"), ("model", "fixed_coefficient", "value"),
+], ids=".".join)
+def test_missing_config_key_is_named(tmp_path, capsys, path):
+    _, config = _write_config(tmp_path, model=_RATIONAL_MODEL)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_without(config, *path)))
+    assert cli.main(["fit", str(bad)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == {"kind": "config", "message": f"missing config key: {path[-1]!r}"}
+
+
+@pytest.mark.parametrize("model, calls", [
+    ({"outer": "identity", "numerator_basis": ["1", "x"]}, 3), (_RATIONAL_MODEL, 7),
+], ids=["affine", "rational"])
+def test_fit_command_evaluates_the_bases_once_per_use(tmp_path, monkeypatch, model, calls):
+    # the default start's denominator, u0, the level problem and the final
+    # values, and no second evaluation for the surface
+    import quasifit.models
+
+    counted = []
+    original = quasifit.models.basis_matrix
+
+    def counting(*args):
+        counted.append(args[0])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quasifit") and getattr(module, "basis_matrix", None) is original:
+            monkeypatch.setattr(module, "basis_matrix", counting)
+    path, _ = _write_config(tmp_path, target="x^3/(2-x)", model=model)
+    assert cli.main(["fit", str(path)]) == 0
+    assert len(counted) == calls
+
+
+def test_convexity_check_tests_closure_once(tmp_path, monkeypatch, capsys):
+    from quasifit import axiomatic
+
+    family = tmp_path / "f.txt"
+    family.write_text("ground: a,b\n{}\na\na,b\n")
+    calls = []
+    original = axiomatic.is_closure_space
+    monkeypatch.setattr(axiomatic, "is_closure_space", lambda fam: calls.append(fam) or original(fam))
+    assert cli.main(["convexity", "check", str(family)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"closure_space": True, "convexity_structure": True}
+    assert len(calls) == 1
 
 
 def test_verify_degree_zero_fit_of_identity(tmp_path, capsys):

@@ -1,8 +1,15 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import quasifit
 
 from quasifit.expr import (
     BinOp,
@@ -13,6 +20,7 @@ from quasifit.expr import (
     Pow,
     UnknownVariableError,
     Var,
+    _tokenize,
     evaluate,
     parse,
     to_source,
@@ -225,3 +233,113 @@ def test_array_evaluation_of_constants_and_bare_variables():
     assert np.array_equal(out, x) and out is not x
     with pytest.raises(ValueError):
         evaluate(parse("x + y", ["x", "y"]), {"x": x, "y": np.zeros(3)})
+
+
+# --- tokenizer against the scanning loop it replaced ------------------------
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def _reference_tokenize(source):
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN.match(source, pos)
+        if m is None:
+            stripped = pos
+            while stripped < len(source) and source[stripped].isspace():
+                stripped += 1
+            if stripped == len(source):
+                break
+            raise ExprSyntaxError(f"unexpected character {source[stripped]!r}", stripped)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("end", "", len(source)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, source):
+    try:
+        return tokenize(source)
+    except ExprSyntaxError as exc:
+        return (str(exc), exc.position)
+
+
+# the token alphabet, stray characters (a non-ASCII digit and letter among
+# them) and ASCII and Unicode whitespace
+_SOURCE_CHARS = st.sampled_from(list("0123456789.eExyz_+-*/^()") + list("$#é٣") + list(" \t\n\x1c\u00a0\u2003"))
+
+
+@settings(max_examples=300)
+@given(st.text(_SOURCE_CHARS, max_size=24))
+def test_tokenizer_matches_reference_scan(source):
+    assert _tokens_or_error(_tokenize, source) == _tokens_or_error(_reference_tokenize, source)
+
+
+def test_tokenizer_reports_the_first_stray_character():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(" x +\u2003$ 1", ["x"])
+    assert str(err.value) == "unexpected character '$' (at offset 5)"
+    assert parse("x\x1c+\u00a01", ["x"]) == BinOp("+", Var("x"), Const(1.0))
+
+
+# --- guards against sources that would hang or exhaust the stack -----------
+
+
+def test_exponent_chain_too_large_is_refused_quickly():
+    # 9^9^9 has 369 million digits: it must be refused, not computed, so run
+    # it where a hang fails the test instead of the suite
+    code = (
+        "from quasifit.expr import ExprSyntaxError, parse\n"
+        "try:\n    parse('x^9^9^9', ['x'])\n"
+        "except ExprSyntaxError as exc:\n    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(quasifit.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.stdout == "exponent too large (at offset 3)\n", proc.stderr
+
+
+@pytest.mark.parametrize("source, exponent", [
+    ("x^2^3^2", 512), ("x^0^99999999999999999999", 0), ("x^1^99999999999999999999", 1),
+    ("x^2^63", 2**63), ("x^3^39", 3**39), ("x^-2^3", -8),
+])
+def test_exponent_chains_up_to_2_to_the_63_fold(source, exponent):
+    assert parse(source, ["x"]) == Pow(Var("x"), exponent)
+
+
+@pytest.mark.parametrize("source, position", [("x^2^64", 3), ("x^3^40", 3), ("x^2^2^3^2", 3)])
+def test_exponent_chain_past_2_to_the_63_is_refused(source, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(source, ["x"])
+    assert (str(err.value), err.value.position) == (f"exponent too large (at offset {position})", position)
+
+
+_DEPTH = 100  # the deepest nesting parse accepts
+
+
+# each source nests k levels: parentheses, signs, or operators of a chain
+@pytest.mark.parametrize("nest", [
+    lambda k: "(" * k + "x" + ")" * k,
+    lambda k: "-" * k + "x",
+    lambda k: "+".join(["x"] * (k + 1)),
+    lambda k: "*".join(["x"] * (k + 1)),
+    lambda k: "x^" + "-" * k + "1",
+    lambda k: "x^" + "^".join(["1"] * (k + 1)),
+], ids=["parentheses", "unary-minus", "sum", "product", "exponent-signs", "exponent-chain"])
+def test_nesting_is_refused_one_level_past_the_limit(nest):
+    parse(nest(_DEPTH), ["x"])
+    with pytest.raises(ExprSyntaxError, match="expression is nested too deeply"):
+        parse(nest(_DEPTH + 1), ["x"])
+    with pytest.raises(ExprSyntaxError, match="expression is nested too deeply"):
+        parse(nest(3000), ["x"])
+
+
+def test_accepted_depth_evaluates_and_prints():
+    e = parse("+".join(["x"] * (_DEPTH + 1)), ["x"])
+    assert evaluate(e, {"x": 1.0}) == _DEPTH + 1
+    assert parse(to_source(e), ["x"]) == e

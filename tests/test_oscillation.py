@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasifit.bisection import fit
 from quasifit.expr import parse
 from quasifit.grid import Grid, SampledFunction, enumerate_points, sample
-from quasifit.models import BasisSpec, ModelClass, MonotoneOuter, evaluate_model_values
+from quasifit.models import BasisSpec, ModelClass, MonotoneOuter
 from quasifit.oscillation import (
     AlternationReport,
     check_polynomial_optimality,
@@ -123,8 +124,7 @@ def test_fit_to_absolute_value_certifies_optimal():
     )
     res = fit(model, f, epsilon=1e-6)
     assert res.achieved_deviation == pytest.approx(0.5, abs=1e-3)
-    g = evaluate_model_values(model, res.coefficients, f.points)
-    residuals = SampledFunction(f.points, f.values - g)
+    residuals = SampledFunction(f.points, f.values - res.model_values)
     tau = 10 * 1e-6 / res.achieved_deviation
     report = extract_alternations(residuals, tau=tau)
     assert check_polynomial_optimality(1, report)
@@ -135,6 +135,51 @@ def test_exact_fit_from_pipeline():
     f = sample(parse("0", ["x"]), grid, ["x"])
     model = ModelClass(("x",), MonotoneOuter.identity(), BasisSpec.from_sources(["1"], ["x"]))
     res = fit(model, f)
-    g = evaluate_model_values(model, res.coefficients, f.points)
-    report = extract_alternations(SampledFunction(f.points, f.values - g))
+    report = extract_alternations(SampledFunction(f.points, f.values - res.model_values))
     assert report.exact_fit
+
+
+def _reference_extract_alternations(residuals, tau=1e-3):
+    # the point-by-point scan that extract_alternations replaced
+    vals = residuals.values
+    max_abs = float(np.max(np.abs(vals)))
+    if max_abs == 0.0:
+        return AlternationReport((), (), len(vals), 0.0, exact_fit=True)
+    threshold = (1.0 - tau) * max_abs
+    points, signs = [], []
+    last_sign = 0
+    block_best = -1.0
+    for k, v in enumerate(vals):
+        if abs(v) < threshold:
+            continue
+        s = 1 if v > 0 else -1
+        if s != last_sign:
+            points.append(k)
+            signs.append(s)
+            last_sign = s
+            block_best = abs(v)
+        elif abs(v) > block_best:
+            points[-1] = k
+            block_best = abs(v)
+    return AlternationReport(tuple(points), tuple(signs), len(points), max_abs)
+
+
+# few distinct magnitudes, so runs hold ties and equal |v|, and both zeros
+_RESIDUAL = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.9995, -0.9995, 0.99999, -0.99999, 1.0, -1.0])
+
+
+@settings(max_examples=300)
+@given(st.lists(_RESIDUAL, min_size=1, max_size=40), st.sampled_from([0.0, 1e-3, 0.5]))
+def test_alternations_match_reference_scan(values, tau):
+    residuals = _residuals_1d(range(len(values)), values)
+    assert extract_alternations(residuals, tau) == _reference_extract_alternations(residuals, tau)
+
+
+def test_alternations_keep_the_first_of_equal_maxima():
+    vals = [0.5, 1.0, 1.0, -1.0, -0.0, -1.0, 1.0]
+    report = extract_alternations(_residuals_1d(range(len(vals)), vals), tau=0.6)
+    assert report.point_indices == (1, 3, 6)
+    assert report.signs == (1, -1, 1)
+    # a zero that clears the threshold counts as negative
+    zeros = extract_alternations(_residuals_1d(range(3), [5e-324, -0.0, 0.0]), tau=0.5)
+    assert zeros == AlternationReport((0, 1), (1, -1), 2, 5e-324)
