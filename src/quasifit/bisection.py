@@ -8,6 +8,12 @@ means the level set is nonempty, so the upper bound moves down to z and the
 solution is kept; otherwise the lower bound moves up to z.  The bracket
 halves exactly, so the loop runs ceil(log2(u0 / epsilon)) times.
 
+Consecutive level LPs differ only in hi and lo, so each level's solve starts
+from the optimal basis of the one before.  For an affine model the dual's
+feasible region does not depend on z, and that basis is always a feasible
+start; for a rational one it moves with z only through the denominator
+columns, and `solve` starts from scratch when the basis is no longer feasible.
+
 The coefficients returned are those of the last feasible oracle call, and
 the reported deviation is recomputed from them by direct evaluation, which
 is the honest number when the LP stops inside its own tolerance.
@@ -55,11 +61,11 @@ class FitResult:
 
 
 def _oracle(
-    problem: LevelProblem, z: float, lp_max_iterations: int | None = None
+    problem: LevelProblem, z: float, lp_max_iterations: int | None = None, start: np.ndarray | None = None
 ) -> tuple[bool, Coefficients | None, LpSolution]:
     """Decide level-z emptiness; when nonempty also return witness coefficients."""
     lp = build_feasibility_lp(problem, z)
-    sol = solve(lp, max_iterations=lp_max_iterations)
+    sol = solve(lp, max_iterations=lp_max_iterations, start=start)
     if sol.status == OPTIMAL:
         if sol.objective <= 0.0:
             return True, problem.model.coefficients_from_free(sol.solution[:-1]), sol
@@ -93,9 +99,11 @@ def fit(
     best: Coefficients | None = None
     trace: list[TraceEntry] = []
     problem = LevelProblem(model, f)
+    basis = None
     while upper - lower > epsilon:
         z = 0.5 * (upper + lower)
-        feasible, coeffs, sol = _oracle(problem, z, lp_max_iterations)
+        feasible, coeffs, sol = _oracle(problem, z, lp_max_iterations, basis)
+        basis = sol.basis
         trace.append(TraceEntry(z, feasible, sol.objective, sol.iterations))
         if feasible:
             upper = z

@@ -67,10 +67,24 @@ _FAILURES = (
 )
 
 
+def _object(value: Any, key: str) -> dict:
+    """`value`, read from the config key `key`, which must hold a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return value
+
+
+def _basis(model_cfg: dict, key: str, variables: list[str]) -> BasisSpec:
+    sources = model_cfg[key]
+    if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
+        raise ConfigError(f"{key} must be a JSON list of strings")
+    return BasisSpec.from_sources(sources, variables)
+
+
 def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
     variables = [str(v) for v in config["variables"]]
-    grid_cfg = config["grid"]
-    model_cfg = config["model"]
+    grid_cfg = _object(config["grid"], "grid")
+    model_cfg = _object(config["model"], "model")
     grid = Grid(
         _as_vector(grid_cfg["lower"], len(variables)),
         _as_vector(grid_cfg["upper"], len(variables)),
@@ -79,14 +93,15 @@ def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
 
     try:
         target = parse(config["target"], variables)
-        numerator = BasisSpec.from_sources(model_cfg["numerator_basis"], variables)
+        numerator = _basis(model_cfg, "numerator_basis", variables)
         denominator = None
         fixed = None
         if model_cfg.get("denominator_basis"):
-            denominator = BasisSpec.from_sources(model_cfg["denominator_basis"], variables)
+            denominator = _basis(model_cfg, "denominator_basis", variables)
             fixed_cfg = model_cfg.get("fixed_coefficient")
             if fixed_cfg is None:
                 raise ConfigError("a denominator_basis requires fixed_coefficient {index, value}")
+            fixed_cfg = _object(fixed_cfg, "fixed_coefficient")
             fixed = (int(fixed_cfg["index"]), float(fixed_cfg["value"]))
     except ExprError as exc:
         raise ConfigError(f"expression error: {exc}") from exc
@@ -143,12 +158,13 @@ def cmd_fit(config_path: str) -> int:
         raise ConfigError(f"config {config_path} is not a JSON object")
     try:
         model, target, grid = _build_model(config)
-        solver_cfg = config.get("solver", {})
+        solver_cfg = _object(config.get("solver", {}), "solver")
         epsilon = float(solver_cfg.get("epsilon", 1e-6))
         lp_cap = solver_cfg.get("max_iterations")
         lp_cap = int(lp_cap) if lp_cap is not None else None
-        result_path = config["output"]["result_path"]
-        surface_path = config["output"].get("surface_path")
+        output_cfg = _object(config["output"], "output")
+        result_path = output_cfg["result_path"]
+        surface_path = output_cfg.get("surface_path")
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from None
 

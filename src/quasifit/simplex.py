@@ -14,6 +14,13 @@ the primal solution solves  G[B] v = h[B].  Redundant equality rows, from a
 rank-deficient G, are deleted after phase one; v is then the
 minimum-norm solution of the shorter system.
 
+A solve may be given a starting basis, one row per primal variable, such as
+the optimal basis of an earlier LP of the same shape (the bisection's
+previous level).  When those rows form a well-conditioned basis whose dual
+values B^-1(-c) are nonnegative, the tableau is built from B^-1 directly
+and phase one is skipped; phase two is the same code either way.
+Otherwise the solve runs both phases from the artificial start.
+
 Verdicts follow from duality.  An unbounded dual means an infeasible
 primal.  An infeasible dual means the primal is unbounded or infeasible;
 the dual with c = 0 is always feasible and is bounded exactly when the
@@ -42,6 +49,8 @@ NUMERICAL_FAILURE = "numerical_failure"
 _RED_TOL = 1e-9  # reduced cost significance
 _PIV_TOL = 1e-10  # ratio test eligibility
 _PIV_MIN = 1e-12  # below this a pivot is numerically meaningless
+_FEAS_TOL = 1e-9  # basic values of a given start basis, relative to the data
+_COND_MAX = 1e12  # a start basis with a larger 1-norm condition number is not used
 
 
 @dataclass
@@ -50,19 +59,42 @@ class LpSolution:
     solution: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
+    # the optimal dual basis, one row index per variable; None when phase
+    # one deleted redundant rows and it is shorter
+    basis: np.ndarray | None = None
 
 
 class _Tableau:
-    """A x = b, x >= 0, started from one artificial per row."""
+    """Rows B^-1 [A | b] of A x = b, x >= 0, for the basis B; any artificial
+    columns sit between A and b until `drop_artificials`."""
 
-    def __init__(self, A: np.ndarray, b: np.ndarray):
-        m, n_cols = A.shape
-        self.m = m
+    def __init__(self, T: np.ndarray, basis: np.ndarray, n_cols: int):
+        self.T = T
+        self.basis = basis
+        self.m = T.shape[0]
         self.n_cols = n_cols  # structural columns; artificials follow
-        sign = np.where(b < 0, -1.0, 1.0)
-        self.T = np.hstack([A * sign[:, None], np.eye(m), (b * sign)[:, None]])
-        self.basis = n_cols + np.arange(m)
         self.iterations = 0
+
+    @classmethod
+    def artificial(cls, A: np.ndarray, b: np.ndarray) -> "_Tableau":
+        """Started from one artificial per row."""
+        m, n_cols = A.shape
+        sign = np.where(b < 0, -1.0, 1.0)
+        T = np.hstack([A * sign[:, None], np.eye(m), (b * sign)[:, None]])
+        return cls(T, n_cols + np.arange(m), n_cols)
+
+    @classmethod
+    def from_basis(cls, A: np.ndarray, b: np.ndarray, basis: np.ndarray) -> "_Tableau | None":
+        """Started from the structural columns `basis`, one per row; None
+        when they are (nearly) singular or their basic values are not >= 0."""
+        B = A[:, basis]
+        if not np.linalg.cond(B, 1) < _COND_MAX:
+            return None
+        T = np.linalg.solve(B, np.column_stack([A, b]))
+        if T[:, -1].min() < -_FEAS_TOL * (1.0 + np.abs(b).max()):
+            return None
+        np.maximum(T[:, -1], 0.0, out=T[:, -1])  # what the tolerance let in is a degenerate 0
+        return cls(T, basis.copy(), A.shape[1])
 
     def pivot(self, r: int, j: int) -> None:
         T = self.T
@@ -143,28 +175,40 @@ class _Tableau:
         self.T = np.hstack([self.T[:, : self.n_cols], self.T[:, -1:]])
 
 
-def _solve_dual(G: np.ndarray, h: np.ndarray, c: np.ndarray, max_iterations: int) -> tuple[str, _Tableau]:
-    """min h.y s.t. G^T y = -c, y >= 0; the status is the dual's own."""
-    tab = _Tableau(G.T, -c)
-    cost1 = np.zeros(tab.n_cols + tab.m)
-    cost1[tab.n_cols :] = 1.0
-    status, obj1 = tab.run(cost1, max_iterations)
-    # the phase-one objective is a sum of nonnegative variables, so an
-    # unbounded verdict here can only be numerical noise
-    if status != OPTIMAL:
-        return NUMERICAL_FAILURE, tab
-    if obj1 > 1e-7 * (1.0 + np.abs(c).max(initial=0.0)):
-        return INFEASIBLE, tab
-    tab.drop_artificials()
+def _solve_dual(
+    G: np.ndarray, h: np.ndarray, c: np.ndarray, max_iterations: int, start: np.ndarray | None = None
+) -> tuple[str, _Tableau]:
+    """min h.y s.t. G^T y = -c, y >= 0; the status is the dual's own.
+
+    Phase one is skipped when `start` is a feasible basis.
+    """
+    tab = None if start is None else _Tableau.from_basis(G.T, -c, start)
+    if tab is None:
+        tab = _Tableau.artificial(G.T, -c)
+        cost1 = np.zeros(tab.n_cols + tab.m)
+        cost1[tab.n_cols :] = 1.0
+        status, obj1 = tab.run(cost1, max_iterations)
+        # the phase-one objective is a sum of nonnegative variables, so an
+        # unbounded verdict here can only be numerical noise
+        if status != OPTIMAL:
+            return NUMERICAL_FAILURE, tab
+        if obj1 > 1e-7 * (1.0 + np.abs(c).max(initial=0.0)):
+            return INFEASIBLE, tab
+        tab.drop_artificials()
     status, _ = tab.run(h, max_iterations)
     return status, tab
 
 
-def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
+def solve(
+    lp: LinearProgram, max_iterations: int | None = None, start: np.ndarray | None = None
+) -> LpSolution:
     """Solve min c.v s.t. rows.v <= rhs with free v.
 
-    Deterministic: identical input yields an identical pivot path, solution
-    and iteration count.
+    `start` names one row per variable, for example the `basis` of an
+    optimal solution of an LP of the same shape; when those rows make a
+    feasible dual basis of this LP, the solve starts there and skips phase
+    one, and otherwise it runs from scratch.  Deterministic: identical input
+    yields an identical pivot path, solution and iteration count.
     """
     G, h, c = lp.rows, lp.rhs, lp.objective
     m, n = lp.row_count, lp.variable_count
@@ -175,13 +219,13 @@ def solve(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     if max_iterations is None:
         max_iterations = 20000 + 200 * (m + n)
 
-    status, tab = _solve_dual(G, h, c, max_iterations)
+    status, tab = _solve_dual(G, h, c, max_iterations, start)
     if status == OPTIMAL:
         B = tab.basis
         if B.size == n:
             x = np.linalg.solve(G[B], h[B])
-        else:
-            x = np.linalg.lstsq(G[B], h[B], rcond=None)[0]
+            return LpSolution(OPTIMAL, x, float(c @ x), tab.iterations, B)
+        x = np.linalg.lstsq(G[B], h[B], rcond=None)[0]
         return LpSolution(OPTIMAL, x, float(c @ x), tab.iterations)
     if status == UNBOUNDED:
         return LpSolution(INFEASIBLE, iterations=tab.iterations)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import quasifit.bisection
 from quasifit.bisection import certify_bracket, expected_iterations, fit
 from quasifit.expr import parse
 from quasifit.grid import Grid, SampledFunction, enumerate_points, sample
@@ -14,6 +16,7 @@ from quasifit.models import (
     basis_matrix,
     evaluate_model_values,
 )
+from quasifit.simplex import solve
 
 EPS = 1e-6
 
@@ -296,11 +299,15 @@ def test_trace_pivots_repeat_on_resolve():
     )
     f = sample(parse("x^2", ["x"]), Grid((0.0,), (1.0,), (0.125,)), ("x",))
     res = fit(model, f, epsilon=1e-4)
-    assert res.trace and all(t.pivots > 0 for t in res.trace)
+    # the first level starts cold; a later one whose start basis stays
+    # optimal takes no pivot at all
+    assert res.trace and res.trace[0].pivots > 0
     problem = LevelProblem(model, f)
+    start = None
     for t in res.trace:
-        _, _, sol = _oracle(problem, t.z)
+        _, _, sol = _oracle(problem, t.z, start=start)
         assert sol.iterations == t.pivots
+        start = sol.basis
 
 
 # Invariances of the minimax problem on seeded random targets over a 9x9 grid.
@@ -314,11 +321,11 @@ _MODELS = {
 }
 
 
-def _model(power, numerator, denominator):
+def _model(power, numerator, denominator, variables=_XY):
     if denominator is None:
-        return ModelClass(_XY, MonotoneOuter.odd_power(power), BasisSpec.from_sources(numerator, _XY))
-    return ModelClass(_XY, MonotoneOuter.odd_power(power), BasisSpec.from_sources(numerator, _XY),
-                      BasisSpec.from_sources(denominator, _XY), (0, 1.0))
+        return ModelClass(variables, MonotoneOuter.odd_power(power), BasisSpec.from_sources(numerator, variables))
+    return ModelClass(variables, MonotoneOuter.odd_power(power), BasisSpec.from_sources(numerator, variables),
+                      BasisSpec.from_sources(denominator, variables), (0, 1.0))
 
 
 def _random_target(seed=0):
@@ -382,3 +389,44 @@ def test_refined_grid_never_decreases_deviation(case):
     assert on_coarse.sum() == len(coarse_points)
     coarse = SampledFunction(fine.points[on_coarse], fine.values[on_coarse])
     assert _deviation(model, fine) >= _deviation(model, coarse) - _tol(fine)
+
+
+def _cold_fit(model, f, epsilon=EPS):
+    """The fit with every level LP solved from scratch, ignoring the start basis."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasifit.bisection, "solve", lambda lp, max_iterations=None, start=None: solve(lp, max_iterations))
+        return fit(model, f, epsilon=epsilon)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(sorted(_MODELS)), dimension=st.sampled_from([1, 2]),
+       size=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
+def test_warm_started_levels_match_cold_solves(case, dimension, size, seed):
+    # each level starts from the last level's optimal basis; solving every
+    # level from scratch must give the same verdicts, hence the same bracket
+    power, numerator, denominator = _MODELS[case]
+    variables = _XY[:dimension]
+    if dimension == 1:
+        numerator = [g for g in numerator if "y" not in g]
+    model = _model(power, numerator, denominator, variables)
+    axis = np.linspace(-1.0, 1.0, size)
+    points = np.stack(np.meshgrid(*[axis] * dimension, indexing="ij"), axis=-1).reshape(-1, dimension)
+    f = SampledFunction(points, np.random.default_rng(seed).normal(size=len(points)))
+    warm, cold = fit(model, f, epsilon=EPS), _cold_fit(model, f)
+    assert [(t.z, t.feasible) for t in warm.trace] == [(t.z, t.feasible) for t in cold.trace]
+    assert (warm.lower, warm.upper, warm.iterations) == (cold.lower, cold.upper, cold.iterations)
+    assert warm.lower <= warm.achieved_deviation <= warm.upper + 1e-8 * (1.0 + np.max(np.abs(f.values)))
+
+
+def test_rank_deficient_basis_solves_every_level_cold():
+    # a repeated basis function repeats a dual equation; phase one deletes
+    # it, the optimal basis is one row short, and no level starts warm
+    from quasifit.bisection import _oracle
+
+    model = ModelClass(("x",), MonotoneOuter.identity(), BasisSpec.from_sources(["1", "x", "x"], ["x"]))
+    f = sample(parse("x^3", ["x"]), Grid((-1.0,), (1.0,), (0.1,)), ("x",))
+    warm, cold = fit(model, f, epsilon=EPS), _cold_fit(model, f)
+    assert warm.trace == cold.trace
+    assert warm.coefficients == cold.coefficients
+    assert (warm.lower, warm.upper, warm.achieved_deviation) == (cold.lower, cold.upper, cold.achieved_deviation)
+    assert all(_oracle(LevelProblem(model, f), t.z)[2].basis is None for t in warm.trace)

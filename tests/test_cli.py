@@ -188,6 +188,18 @@ _UNHANDLED_INPUTS = {
     "deep-parentheses": ("config", lambda tmp: _fit_argv(tmp, target="(" * 300 + "x" + ")" * 300)),
     "long-unary-minus": ("config", lambda tmp: _fit_argv(tmp, target="-" * 2000 + "x")),
     "long-sum": ("config", lambda tmp: _fit_argv(tmp, target="+".join(["x"] * 3000))),
+    "solver-not-an-object": ("config", lambda tmp: _fit_argv(tmp, solver=[1])),
+    "output-not-an-object": ("config", lambda tmp: _fit_argv(tmp, output="x.json")),
+    "grid-not-an-object": ("config", lambda tmp: _fit_argv(tmp, grid=[-1.0, 1.0, 0.5])),
+    "model-not-an-object": ("config", lambda tmp: _fit_argv(tmp, model="identity")),
+    "fixed-coefficient-not-an-object": ("config", lambda tmp: _fit_argv(
+        tmp, model=dict(_RATIONAL_POLE, denominator_basis=["1", "x^2"], fixed_coefficient=[0, 1.0]))),
+    "numerator-basis-string": ("config", lambda tmp: _fit_argv(
+        tmp, model={"outer": "identity", "numerator_basis": "1x"})),
+    "denominator-basis-string": ("config", lambda tmp: _fit_argv(
+        tmp, model=dict(_RATIONAL_POLE, denominator_basis="1x"))),
+    "basis-of-numbers": ("config", lambda tmp: _fit_argv(
+        tmp, model={"outer": "identity", "numerator_basis": [1, 2]})),
 }
 
 
@@ -231,6 +243,14 @@ _ENTRY_POINT_MESSAGES = {
     "deep-parentheses": "expression error: expression is nested too deeply (at offset 100)",
     "long-unary-minus": "expression error: expression is nested too deeply (at offset 100)",
     "long-sum": "expression error: expression is nested too deeply (at offset 201)",
+    "solver-not-an-object": "solver must be a JSON object",
+    "output-not-an-object": "output must be a JSON object",
+    "grid-not-an-object": "grid must be a JSON object",
+    "model-not-an-object": "model must be a JSON object",
+    "fixed-coefficient-not-an-object": "fixed_coefficient must be a JSON object",
+    "numerator-basis-string": "numerator_basis must be a JSON list of strings",
+    "denominator-basis-string": "denominator_basis must be a JSON list of strings",
+    "basis-of-numbers": "numerator_basis must be a JSON list of strings",
 }
 
 

@@ -188,6 +188,8 @@ def test_duplicated_column_leaves_redundant_dual_row():
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-2.0)
     assert sol.solution.sum() == pytest.approx(2.0)
+    # the optimal basis is one row short, so it is not offered as a start
+    assert sol.basis is None
 
 
 def test_zero_column_with_cost_is_unbounded():
@@ -201,3 +203,50 @@ def test_primal_and_dual_both_infeasible():
     # infeasible too; the c = 0 dual is unbounded, which names the primal
     sol = solve(_lp([0.0, 1.0], [[1.0, 0.0], [-1.0, 0.0]], [-1.0, -1.0]))
     assert sol.status == INFEASIBLE
+
+
+# min -v1 - v2 on the unit box: the dual G^T y = (1, 1) is met by y >= 0 on
+# rows {0, 1}, by y = (-1, -1) on rows {2, 3}, and rows {0, 2} are parallel
+_BOX = ([-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 0.0, 0.0])
+
+
+def test_start_from_the_optimal_basis_takes_no_pivot():
+    lp = _lp(*_BOX)
+    cold = solve(lp)
+    warm = solve(lp, start=cold.basis)
+    assert cold.status == warm.status == OPTIMAL
+    assert cold.iterations > 0 and warm.iterations == 0
+    assert warm.objective == cold.objective == -2.0
+    assert np.array_equal(warm.basis, cold.basis)
+
+
+@pytest.mark.parametrize("start", [[2, 3], [0, 2]], ids=["infeasible", "singular"])
+def test_unusable_start_basis_solves_from_scratch(start):
+    lp = _lp(*_BOX)
+    cold = solve(lp)
+    warm = solve(lp, start=np.array(start))
+    assert (warm.status, warm.objective, warm.iterations) == (cold.status, cold.objective, cold.iterations)
+    assert np.array_equal(warm.solution, cold.solution)
+    assert np.array_equal(warm.basis, cold.basis)
+
+
+def test_start_from_a_neighbouring_lp_matches_a_cold_solve():
+    # the optimal basis of one LP offered to a perturbed copy, as from one
+    # bisection level to the next: whether it is used or not, the verdict
+    # and the optimum are those of a solve from scratch
+    rng = np.random.default_rng(31)
+    warm_starts = 0
+    for _ in range(200):
+        c, rows, rhs = random_bounded_instance(rng)
+        first = solve(_lp(c, rows, rhs))
+        if first.basis is None:
+            continue
+        scale = rng.choice([0.0, 0.1])
+        lp = _lp(c + scale * rng.normal(size=c.shape), rows + scale * rng.normal(size=rows.shape),
+                 rhs + rng.normal(scale=0.3, size=rhs.shape))
+        cold, warm = solve(lp), solve(lp, start=first.basis)
+        warm_starts += warm.iterations < cold.iterations
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert warm_starts > 50
