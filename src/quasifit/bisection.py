@@ -61,11 +61,11 @@ class FitResult:
 
 
 def _oracle(
-    problem: LevelProblem, z: float, lp_max_iterations: int | None = None, start: np.ndarray | None = None
+    problem: LevelProblem, z: float, start: np.ndarray | None = None
 ) -> tuple[bool, Coefficients | None, LpSolution]:
     """Decide level-z emptiness; when nonempty also return witness coefficients."""
     lp = build_feasibility_lp(problem, z)
-    sol = solve(lp, max_iterations=lp_max_iterations, start=start)
+    sol = solve(lp, start=start)
     if sol.status == OPTIMAL:
         if sol.objective <= 0.0:
             return True, problem.model.coefficients_from_free(sol.solution[:-1]), sol
@@ -84,7 +84,6 @@ def fit(
     f: SampledFunction,
     epsilon: float = 1e-6,
     initial: Coefficients | None = None,
-    lp_max_iterations: int | None = None,
 ) -> FitResult:
     """Minimise the uniform deviation of the model over the sampled function."""
     if not (epsilon > 0):
@@ -102,7 +101,7 @@ def fit(
     basis = None
     while upper - lower > epsilon:
         z = 0.5 * (upper + lower)
-        feasible, coeffs, sol = _oracle(problem, z, lp_max_iterations, basis)
+        feasible, coeffs, sol = _oracle(problem, z, basis)
         basis = sol.basis
         trace.append(TraceEntry(z, feasible, sol.objective, sol.iterations))
         if feasible:

@@ -67,67 +67,74 @@ _FAILURES = (
 )
 
 
-def _object(value: Any, key: str) -> dict:
-    """`value`, read from the config key `key`, which must hold a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object")
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The JSON kinds a config or result value may be asked for: (description, test).
+_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
+    "string": ("a JSON string", lambda v: isinstance(v, str)),
+    "number": ("a JSON number", _is_number),
+    "integer": ("an integral JSON number", lambda v: _is_number(v) and float(v).is_integer()),
+    "strings": ("a JSON list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    "numbers": ("a JSON list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "coordinates": ("a JSON number or a JSON list of numbers",
+                    lambda v: _is_number(v) or (isinstance(v, list) and all(map(_is_number, v)))),
+}
+_REQUIRED = object()
+
+
+def _get(obj: dict, key: str, kind: str, default: Any = _REQUIRED) -> Any:
+    """`obj[key]` if it holds a JSON value of `kind`; a null counts as absent."""
+    value = obj.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing config key: {key!r}")
+        return default
+    description, accepts = _KINDS[kind]
+    if not accepts(value):
+        raise ConfigError(f"{key} must be {description}")
     return value
 
 
-def _basis(model_cfg: dict, key: str, variables: list[str]) -> BasisSpec:
-    sources = model_cfg[key]
-    if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
-        raise ConfigError(f"{key} must be a JSON list of strings")
-    return BasisSpec.from_sources(sources, variables)
-
-
 def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
-    variables = [str(v) for v in config["variables"]]
-    grid_cfg = _object(config["grid"], "grid")
-    model_cfg = _object(config["model"], "model")
-    grid = Grid(
-        _as_vector(grid_cfg["lower"], len(variables)),
-        _as_vector(grid_cfg["upper"], len(variables)),
-        _as_vector(grid_cfg["step"], len(variables)),
-    )
+    variables = _get(config, "variables", "strings")
+    grid_cfg = _get(config, "grid", "object")
+    model_cfg = _get(config, "model", "object")
+    bounds = []
+    for key in ("lower", "upper", "step"):  # a number stands for the same value on every axis
+        value = _get(grid_cfg, key, "coordinates")
+        value = value if isinstance(value, list) else [value] * len(variables)
+        if len(value) != len(variables):
+            raise ConfigError(f"{key} must have one entry per variable: {len(variables)}, not {len(value)}")
+        bounds.append([float(v) for v in value])
 
     try:
-        target = parse(config["target"], variables)
-        numerator = _basis(model_cfg, "numerator_basis", variables)
-        denominator = None
-        fixed = None
-        if model_cfg.get("denominator_basis"):
-            denominator = _basis(model_cfg, "denominator_basis", variables)
-            fixed_cfg = model_cfg.get("fixed_coefficient")
-            if fixed_cfg is None:
-                raise ConfigError("a denominator_basis requires fixed_coefficient {index, value}")
-            fixed_cfg = _object(fixed_cfg, "fixed_coefficient")
-            fixed = (int(fixed_cfg["index"]), float(fixed_cfg["value"]))
+        target = parse(_get(config, "target", "string"), variables)
+        numerator = BasisSpec.from_sources(_get(model_cfg, "numerator_basis", "strings"), variables)
+        denominator_sources = _get(model_cfg, "denominator_basis", "strings", [])
+        denominator = BasisSpec.from_sources(denominator_sources, variables) if denominator_sources else None
     except ExprError as exc:
         raise ConfigError(f"expression error: {exc}") from exc
+    fixed = None
+    if denominator is not None:
+        fixed_cfg = _get(model_cfg, "fixed_coefficient", "object")
+        fixed = (int(_get(fixed_cfg, "index", "integer")), float(_get(fixed_cfg, "value", "number")))
 
-    outer_kind = model_cfg.get("outer", "identity")
+    outer_kind = _get(model_cfg, "outer", "string", "identity")
     if outer_kind not in ("identity", "odd_power"):
         raise ConfigError(f"unknown outer kind {outer_kind!r}")
 
     model = ModelClass(
         variables=tuple(variables),
-        outer=MonotoneOuter(int(model_cfg.get("power", 1)) if outer_kind == "odd_power" else 1),
+        outer=MonotoneOuter(int(_get(model_cfg, "power", "integer", 1)) if outer_kind == "odd_power" else 1),
         numerator=numerator,
         denominator=denominator,
         fixed_coefficient=fixed,
-        delta=float(model_cfg.get("delta", 1e-4)),
+        delta=float(_get(model_cfg, "delta", "number", 1e-4)),
     )
-    return model, target, grid
-
-
-def _as_vector(v, d: int) -> list[float]:
-    if isinstance(v, (int, float)):
-        return [float(v)] * d
-    vec = [float(x) for x in v]
-    if len(vec) != d:
-        raise ConfigError(f"expected {d} entries, got {len(vec)}")
-    return vec
+    return model, target, Grid(*bounds)
 
 
 def _read(path: str, what: str, load: Callable[[TextIO], Any]) -> Any:
@@ -156,21 +163,15 @@ def cmd_fit(config_path: str) -> int:
     config = _read(config_path, "config", json.load)
     if not isinstance(config, dict):
         raise ConfigError(f"config {config_path} is not a JSON object")
-    try:
-        model, target, grid = _build_model(config)
-        solver_cfg = _object(config.get("solver", {}), "solver")
-        epsilon = float(solver_cfg.get("epsilon", 1e-6))
-        lp_cap = solver_cfg.get("max_iterations")
-        lp_cap = int(lp_cap) if lp_cap is not None else None
-        output_cfg = _object(config["output"], "output")
-        result_path = output_cfg["result_path"]
-        surface_path = output_cfg.get("surface_path")
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from None
+    model, target, grid = _build_model(config)
+    epsilon = float(_get(_get(config, "solver", "object", {}), "epsilon", "number", 1e-6))
+    output_cfg = _get(config, "output", "object")
+    result_path = _get(output_cfg, "result_path", "string")
+    surface_path = _get(output_cfg, "surface_path", "string", None)
 
     sampled = sample(target, grid, model.variables)
     log.info("fitting %d points, %d free coefficients", len(sampled), len(model.coefficient_names()))
-    result = fit(model, sampled, epsilon=epsilon, lp_max_iterations=lp_cap)
+    result = fit(model, sampled, epsilon=epsilon)
     residual = sampled.values - result.model_values
 
     stored_surface = surface_path
@@ -213,7 +214,7 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
     result = _read(result_path, "result", json.load)
     if not isinstance(result, dict):
         raise ConfigError(f"result {result_path} is not a JSON object")
-    surface_path = result.get("surface_path")
+    surface_path = _get(result, "surface_path", "string", None)
     if not surface_path:
         raise ConfigError("result has no surface_path; rerun fit with one")
     surface_file = os.path.join(os.path.dirname(result_path), surface_path)
@@ -228,9 +229,9 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
         needed = n + 2
         defect = None
     else:
-        coeffs = result.get("coefficients", {})
-        p = effective_degree(coeffs.get("numerator", []))
-        q = effective_degree(coeffs.get("denominator") or [0.0])
+        coeffs = _get(result, "coefficients", "object", {})
+        p = effective_degree(_get(coeffs, "numerator", "numbers", []))
+        q = effective_degree(_get(coeffs, "denominator", "numbers", None) or [0.0])
         info = compute_defect(n, m, min(p, n), min(q, m))
         optimal = check_rational_optimality(n, m, info.defect, report)
         needed = n + m + 2 - info.defect

@@ -223,7 +223,10 @@ def solve(
     if status == OPTIMAL:
         B = tab.basis
         if B.size == n:
-            x = np.linalg.solve(G[B], h[B])
+            try:
+                x = np.linalg.solve(G[B], h[B])
+            except np.linalg.LinAlgError:  # the ratio test let a near-zero pivot through
+                return LpSolution(NUMERICAL_FAILURE, iterations=tab.iterations)
             return LpSolution(OPTIMAL, x, float(c @ x), tab.iterations, B)
         x = np.linalg.lstsq(G[B], h[B], rcond=None)[0]
         return LpSolution(OPTIMAL, x, float(c @ x), tab.iterations)

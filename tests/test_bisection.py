@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasifit.bisection
-from quasifit.bisection import certify_bracket, expected_iterations, fit
+from quasifit.bisection import FitError, certify_bracket, expected_iterations, fit
 from quasifit.expr import parse
 from quasifit.grid import Grid, SampledFunction, enumerate_points, sample
 from quasifit.linearize import LevelProblem
@@ -389,6 +389,19 @@ def test_refined_grid_never_decreases_deviation(case):
     assert on_coarse.sum() == len(coarse_points)
     coarse = SampledFunction(fine.points[on_coarse], fine.values[on_coarse])
     assert _deviation(model, fine) >= _deviation(model, coarse) - _tol(fine)
+
+
+def test_singular_optimal_basis_is_a_fit_error():
+    # the ratio test can end on an optimal basis with a singular block here;
+    # the fit then fails with FitError, never with numpy's LinAlgError
+    model = _model(*_MODELS["identity-rational"])
+    points = enumerate_points(Grid((-1.0, -1.0), (1.0, 1.0), (0.5, 0.5)))
+    f = SampledFunction(points, np.random.default_rng(3941458232).normal(size=len(points)))
+    try:
+        result = fit(model, f, epsilon=EPS)
+    except FitError:
+        return
+    assert result.lower <= result.achieved_deviation <= result.upper + _tol(f)
 
 
 def _cold_fit(model, f, epsilon=EPS):

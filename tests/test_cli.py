@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,11 +100,16 @@ def test_fit_config_errors_exit_2(tmp_path):
     assert cli.main(["fit", str(no_output)]) == 2
 
 
-def test_fit_lp_iteration_cap_exit_4(tmp_path, capsys):
-    # a one-pivot budget starves the oracle, surfacing the numerical-failure path
-    path, _ = _write_config(tmp_path, name="cap.json", solver={"epsilon": 1e-6, "max_iterations": 1})
+def test_fit_oracle_failure_exit_4(tmp_path, monkeypatch, capsys):
+    # an oracle that gives up on its LP is a solver failure, not a config error
+    import quasifit.bisection
+    from quasifit.simplex import LpSolution
+
+    monkeypatch.setattr(quasifit.bisection, "solve", lambda lp, start=None: LpSolution("numerical_failure"))
+    path, _ = _write_config(tmp_path, name="fail.json")
     assert cli.main(["fit", str(path)]) == 4
     error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "solver"
     assert error["message"].startswith("LP oracle failed with status 'numerical_failure'")
 
 
@@ -200,6 +206,22 @@ _UNHANDLED_INPUTS = {
         tmp, model=dict(_RATIONAL_POLE, denominator_basis="1x"))),
     "basis-of-numbers": ("config", lambda tmp: _fit_argv(
         tmp, model={"outer": "identity", "numerator_basis": [1, 2]})),
+    "target-not-a-string": ("config", lambda tmp: _fit_argv(tmp, target=5)),
+    "variables-string": ("config", lambda tmp: _fit_argv(tmp, variables="xy")),
+    "variables-with-a-number": ("config", lambda tmp: _fit_argv(tmp, variables=["x", 1])),
+    "result-path-not-a-string": ("config", lambda tmp: _fit_argv(
+        tmp, output={"result_path": 1, "surface_path": str(tmp / "surface.csv")})),
+    "fractional-power": ("config", lambda tmp: _fit_argv(
+        tmp, model={"outer": "odd_power", "power": 3.7, "numerator_basis": ["1", "x"]})),
+    "fractional-index": ("config", lambda tmp: _fit_argv(tmp, model=dict(
+        _RATIONAL_POLE, denominator_basis=["1", "x^2"], fixed_coefficient={"index": 0.9, "value": 1.0}))),
+    "string-grid-bound": ("config", lambda tmp: _fit_argv(tmp, grid={"lower": "-1", "upper": 1.0, "step": 0.5})),
+    "grid-bound-of-wrong-length": ("config", lambda tmp: _fit_argv(
+        tmp, grid={"lower": -1.0, "upper": 1.0, "step": [0.5, 0.5]})),
+    "string-epsilon": ("config", lambda tmp: _fit_argv(tmp, solver={"epsilon": "1e-6"})),
+    "coefficients-not-an-object": ("input", lambda tmp: [
+        "verify", _crafted_result(tmp, _SURFACE, result={"coefficients": [1.0], "surface_path": "s.csv"}),
+        "--n", "0", "--m", "1"]),
 }
 
 
@@ -251,6 +273,16 @@ _ENTRY_POINT_MESSAGES = {
     "numerator-basis-string": "numerator_basis must be a JSON list of strings",
     "denominator-basis-string": "denominator_basis must be a JSON list of strings",
     "basis-of-numbers": "numerator_basis must be a JSON list of strings",
+    "target-not-a-string": "target must be a JSON string",
+    "variables-string": "variables must be a JSON list of strings",
+    "variables-with-a-number": "variables must be a JSON list of strings",
+    "result-path-not-a-string": "result_path must be a JSON string",
+    "fractional-power": "power must be an integral JSON number",
+    "fractional-index": "index must be an integral JSON number",
+    "string-grid-bound": "lower must be a JSON number or a JSON list of numbers",
+    "grid-bound-of-wrong-length": "step must have one entry per variable: 1, not 2",
+    "string-epsilon": "epsilon must be a JSON number",
+    "coefficients-not-an-object": "coefficients must be a JSON object",
 }
 
 
@@ -261,6 +293,39 @@ def test_entry_point_writes_one_json_error_line(tmp_path, case, message):
     assert proc.returncode == 2
     (line,) = proc.stderr.splitlines()
     assert json.loads(line)["error"] == {"kind": kind, "message": message.format(tmp=tmp_path)}
+
+
+def test_integral_float_power_fits_as_its_integer(tmp_path, capsys):
+    outputs = []
+    for power in (3, 3.0):
+        path, _ = _write_config(tmp_path, target="x^3", model={
+            "outer": "odd_power", "power": power, "numerator_basis": ["1", "x"]})
+        assert cli.main(["fit", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_rational_degrees_on_an_affine_result(tmp_path, capsys):
+    # an affine fit stores "denominator": null, which reads as absent
+    path, _ = _write_config(tmp_path, target="x^2")
+    assert cli.main(["fit", str(path)]) == 0
+    assert json.loads((tmp_path / "result.json").read_text())["coefficients"]["denominator"] is None
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "result.json"), "--n", "1", "--m", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["required_count"] == 1 + 1 + 2 - report["defect"]
+    assert report["verdict"] == "optimal"
+
+
+def test_readme_config_example_builds(tmp_path):
+    # the config shown in the README is read by the same code as any other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    model, _target, grid = cli._build_model(example)
+    assert model.variables == tuple(example["variables"])
+    assert model.outer.power == example["model"]["power"]
+    assert model.fixed_coefficient == (0, 1.0)
+    assert grid.cardinality() == 21 * 21
 
 
 def _without(config, *path):

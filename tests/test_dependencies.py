@@ -1,0 +1,24 @@
+import ast
+import sys
+from pathlib import Path
+
+import quasifit
+
+SOURCES = sorted(Path(quasifit.__file__).resolve().parent.glob("*.py"))
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy is installed for the cross-check tests, but the package must not need it
+    assert SOURCES
+    outside = set()
+    for source in SOURCES:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside |= {f"{source.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}}
+    assert not outside
