@@ -37,11 +37,11 @@ from .models import (
     MonotoneOuter,
 )
 from .oscillation import (
-    check_polynomial_optimality,
     check_rational_optimality,
     compute_defect,
     effective_degree,
     extract_alternations,
+    required_count,
 )
 
 EXIT_OK = 0
@@ -201,12 +201,8 @@ def cmd_fit(config_path: str) -> int:
     with open(result_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(json.dumps({
-        "achieved_deviation": result.achieved_deviation,
-        "certified_bounds": [result.lower, result.upper],
-        "iterations": result.iterations,
-        "result_path": result_path,
-    }, sort_keys=True))
+    summary = {key: payload[key] for key in ("achieved_deviation", "certified_bounds", "iterations")}
+    print(json.dumps({**summary, "result_path": result_path}, sort_keys=True))
     return EXIT_OK
 
 
@@ -224,24 +220,16 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
     residuals = SampledFunction(coords[0].reshape(-1, 1), residual)
     report = extract_alternations(residuals, tau=tau)
 
-    if m is None:
-        optimal = check_polynomial_optimality(n, report)
-        needed = n + 2
-        defect = None
-    else:
-        coeffs = _get(result, "coefficients", "object", {})
-        p = effective_degree(_get(coeffs, "numerator", "numbers", []))
-        q = effective_degree(_get(coeffs, "denominator", "numbers", None) or [0.0])
-        info = compute_defect(n, m, min(p, n), min(q, m))
-        optimal = check_rational_optimality(n, m, info.defect, report)
-        needed = n + m + 2 - info.defect
-        defect = info.defect
-
+    nominal_m = m or 0  # a polynomial fit is the rational case m = 0
+    coeffs = _get(result, "coefficients", "object", {})
+    p = effective_degree(_get(coeffs, "numerator", "numbers", []))
+    q = effective_degree(_get(coeffs, "denominator", "numbers", []))  # null for an affine result
+    d = compute_defect(n, nominal_m, p, q).defect
     print(json.dumps({
         "certificate": asdict(report),
-        "required_count": needed,
-        "defect": defect,
-        "verdict": "optimal" if optimal else "not-certified",
+        "required_count": required_count(n, nominal_m, d),
+        "defect": None if m is None else d,
+        "verdict": "optimal" if check_rational_optimality(n, nominal_m, d, report) else "not-certified",
     }, sort_keys=True))
     return EXIT_OK
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import length_hint
 from typing import Mapping, Union
@@ -115,6 +116,8 @@ _TOKEN = re.compile(
 # interpreter's recursion limit.
 _MAX_DEPTH = 100
 
+_BINARY = ("+-", "*/")  # binary operators by precedence level, loosest first
+
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -173,27 +176,18 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {text!r}", pos)
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
+    def expr(self, level: int = 0) -> Expression:
+        """A left-associative chain of `_BINARY[level]` operators over the next level, then factors."""
+        # partial, unlike a lambda, adds no Python frame per level of the recursion
+        operand = self.factor if level + 1 == len(_BINARY) else partial(self.expr, level + 1)
+        node = operand()
         while True:
             kind, text, pos = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                left = self.height
-                node = self.built(BinOp(text, node, self.term()), pos, left)
-            else:
+            if kind != "op" or text not in _BINARY[level]:
                 return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                left = self.height
-                node = self.built(BinOp(text, node, self.factor()), pos, left)
-            else:
-                return node
+            self.advance()
+            left = self.height
+            node = self.built(BinOp(text, node, operand()), pos, left)
 
     def factor(self) -> Expression:
         kind, text, pos = self.peek()
@@ -221,7 +215,10 @@ class _Parser:
         if not text.isdigit():
             raise ExprSyntaxError("exponent must be an integer literal", pos)
         self.advance()
-        value = int(text)
+        # past 19 digits a literal exceeds 2**63, and int() may refuse its length
+        value = int(text) if len(text.lstrip("0")) <= 19 else 2**64
+        if value > 2**63:
+            raise ExprSyntaxError("exponent too large", pos)
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()

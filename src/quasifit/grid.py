@@ -76,7 +76,7 @@ def enumerate_points(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Target values on an enumerated finite domain."""
+    """Target values on an enumerated finite domain, as read-only views of the arrays passed in."""
 
     points: np.ndarray  # (N, d)
     values: np.ndarray  # (N,)
@@ -94,10 +94,10 @@ class SampledFunction:
         if self.grid is not None:
             if pts.shape != (self.grid.cardinality(), self.grid.dimension):
                 raise ValueError("points do not match the attached grid's enumeration")
-        pts.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
+        for name, arr in (("points", pts), ("values", vals)):
+            arr = arr.view()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_points(cls, points: Iterable[Sequence[float]], values: Iterable[float]) -> "SampledFunction":

@@ -37,7 +37,7 @@ __all__ = ["LevelProblem", "LinearProgram", "build_feasibility_lp"]
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """min objective . v  subject to  rows . v <= rhs,  v free."""
+    """min objective . v  subject to  rows . v <= rhs,  v free; read-only views of the arrays passed in."""
 
     objective: np.ndarray  # (v,)
     rows: np.ndarray  # (m, v)
@@ -56,11 +56,10 @@ class LinearProgram:
             raise ValueError("linear program data must be finite")
         if len(self.names) != obj.shape[0]:
             raise ValueError("one name per variable required")
-        for arr in (obj, rows, rhs):
+        for name, arr in (("objective", obj), ("rows", rows), ("rhs", rhs)):
+            arr = arr.view()
             arr.setflags(write=False)
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "names", tuple(self.names))
 
     @property

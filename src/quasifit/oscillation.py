@@ -1,11 +1,11 @@
 """Alternation counts and defect arithmetic for univariate optimality checks.
 
-A best uniform polynomial fit of degree n is certified by n+2 points of
-near-maximal residual with alternating signs; a rational fit with numerator
-degree n, denominator degree m and defect d needs n+m+2-d.  On a finite grid
-the continuous maximal-deviation points are only hit approximately, so a
-point qualifies when its residual is within a relative threshold tau of the
-maximum.
+A best uniform fit is certified by points of near-maximal residual with
+alternating signs; `required_count` says how many a rational fit of nominal
+degrees (n, m) and defect d needs, and a degree-n polynomial is its case
+m = d = 0.  On a finite grid the continuous maximal-deviation points are
+only hit approximately, so a point qualifies when its residual is within a
+relative threshold tau of the maximum.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "check_polynomial_optimality",
     "check_rational_optimality",
     "compute_defect",
+    "required_count",
     "effective_degree",
 ]
 
@@ -84,14 +85,19 @@ def extract_alternations(residuals: SampledFunction, tau: float = 1e-3) -> Alter
     return AlternationReport(tuple(points.tolist()), tuple(signs[starts].tolist()), starts.size, max_abs)
 
 
-def check_polynomial_optimality(n: int, report: AlternationReport) -> bool:
-    """Degree-n polynomial fits need n + 2 alternating points."""
-    return report.count >= n + 2
+def required_count(n: int, m: int, d: int) -> int:
+    """Alternating points that certify a best fit of nominal degrees (n, m) with defect d."""
+    return n + m + 2 - d
 
 
 def check_rational_optimality(n: int, m: int, d: int, report: AlternationReport) -> bool:
-    """Rational fits with defect d need n + m + 2 - d alternating points."""
-    return report.count >= n + m + 2 - d
+    """Whether the report has the `required_count(n, m, d)` alternations a best fit needs."""
+    return report.count >= required_count(n, m, d)
+
+
+def check_polynomial_optimality(n: int, report: AlternationReport) -> bool:
+    """The rational check with m = d = 0: a degree-n polynomial needs n + 2 points."""
+    return check_rational_optimality(n, 0, 0, report)
 
 
 def compute_defect(n: int, m: int, p: int, q: int) -> DefectInfo:

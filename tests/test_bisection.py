@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import quasifit.bisection
 from quasifit.bisection import FitError, certify_bracket, expected_iterations, fit
@@ -310,7 +310,7 @@ def test_trace_pivots_repeat_on_resolve():
         start = sol.basis
 
 
-# Invariances of the minimax problem on seeded random targets over a 9x9 grid.
+# Invariances of the minimax problem on random targets over square grids.
 # Each fit's deviation lies in its certified bracket, epsilon wide, up to the
 # LP's own tolerance, so two fits of equivalent problems agree within _tol.
 _XY = ("x", "y")
@@ -322,15 +322,23 @@ _MODELS = {
 
 
 def _model(power, numerator, denominator, variables=_XY):
+    if "y" not in variables:  # the 1-D restriction drops the basis functions in y
+        numerator = [g for g in numerator if "y" not in g]
     if denominator is None:
         return ModelClass(variables, MonotoneOuter.odd_power(power), BasisSpec.from_sources(numerator, variables))
     return ModelClass(variables, MonotoneOuter.odd_power(power), BasisSpec.from_sources(numerator, variables),
                       BasisSpec.from_sources(denominator, variables), (0, 1.0))
 
 
-def _random_target(seed=0):
-    points = enumerate_points(Grid((-1.0, -1.0), (1.0, 1.0), (0.25, 0.25)))
+def _grid_target(dimension, size, seed):
+    """Normal random values on the size**dimension grid over [-1, 1]**dimension, last axis fastest."""
+    axis = np.linspace(-1.0, 1.0, size)
+    points = np.stack(np.meshgrid(*[axis] * dimension, indexing="ij"), axis=-1).reshape(-1, dimension)
     return SampledFunction(points, np.random.default_rng(seed).normal(size=len(points)))
+
+
+def _random_target(seed=0):
+    return _grid_target(2, 9, seed)
 
 
 def _deviation(model, f, epsilon=EPS):
@@ -341,34 +349,74 @@ def _tol(f):
     return EPS + 1e-8 * (1.0 + np.max(np.abs(f.values)))
 
 
+def _deviations(model, *problems):
+    """Deviations of fits of (f, epsilon) pairs; None if one ends on a singular optimal basis.
+
+    That FitError is the known outcome of the ratio test's tiny pivots (see
+    test_singular_optimal_basis_is_a_fit_error); every other failure fails.
+    """
+    try:
+        return [_deviation(model, f, epsilon) for f, epsilon in problems]
+    except FitError as exc:
+        assert "status 'numerical_failure'" in str(exc)
+        return None
+
+
+# grids of 3-7 points per axis in one or two dimensions; the seeded 9x9
+# case of each test is an explicit example
+_invariance = settings(max_examples=30, deadline=None, derandomize=True)
+_grids = dict(dimension=st.sampled_from([1, 2]), size=st.integers(3, 7), seed=st.integers(0, 2**32 - 1))
+
+
 @pytest.mark.parametrize("case", _MODELS)
-def test_deviation_invariant_under_point_order(case):
-    model, f = _model(*_MODELS[case]), _random_target()
-    perm = np.random.default_rng(1).permutation(len(f.values))
+@_invariance
+@given(**_grids, order_seed=st.integers(0, 2**32 - 1))
+@example(dimension=2, size=9, seed=0, order_seed=1)
+def test_deviation_invariant_under_point_order(case, dimension, size, seed, order_seed):
+    model, f = _model(*_MODELS[case], _XY[:dimension]), _grid_target(dimension, size, seed)
+    perm = np.random.default_rng(order_seed).permutation(len(f.values))
     shuffled = SampledFunction(f.points[perm], f.values[perm])
-    assert abs(_deviation(model, shuffled) - _deviation(model, f)) <= _tol(f)
+    deviations = _deviations(model, (shuffled, EPS), (f, EPS))
+    if deviations:
+        assert abs(deviations[0] - deviations[1]) <= _tol(f)
 
 
 @pytest.mark.parametrize("case", _MODELS)
-def test_deviation_invariant_under_basis_order(case):
+@_invariance
+@given(**_grids)
+@example(dimension=2, size=9, seed=0)
+def test_deviation_invariant_under_basis_order(case, dimension, size, seed):
     power, numerator, denominator = _MODELS[case]
-    f = _random_target()
-    reordered = _model(power, numerator[::-1], denominator)
-    assert abs(_deviation(reordered, f) - _deviation(_model(*_MODELS[case]), f)) <= _tol(f)
+    variables, f = _XY[:dimension], _grid_target(dimension, size, seed)
+    reordered = _deviations(_model(power, numerator[::-1], denominator, variables), (f, EPS))
+    original = _deviations(_model(power, numerator, denominator, variables), (f, EPS))
+    if reordered and original:
+        assert abs(reordered[0] - original[0]) <= _tol(f)
 
 
 @pytest.mark.parametrize("case", ["identity-affine", "identity-rational"])
-def test_deviation_scales_with_target_for_identity_outer(case):
+@_invariance
+@given(**_grids, s=st.floats(0.125, 8.0))
+@example(dimension=2, size=9, seed=0, s=2.5)
+def test_deviation_scales_with_target_for_identity_outer(case, dimension, size, seed, s):
     # scaling f by s scales A, and the bracket with it, by s
-    model, f, s = _model(*_MODELS[case]), _random_target(), 2.5
+    model, f = _model(*_MODELS[case], _XY[:dimension]), _grid_target(dimension, size, seed)
     scaled = SampledFunction(f.points, s * f.values)
-    assert abs(_deviation(model, scaled, s * EPS) - s * _deviation(model, f)) <= s * _tol(f)
+    deviations = _deviations(model, (scaled, s * EPS), (f, EPS))
+    if deviations:
+        assert abs(deviations[0] - s * deviations[1]) <= s * _tol(f)
 
 
-def test_deviation_invariant_under_adding_a_constant():
-    model, f = _model(*_MODELS["identity-affine"]), _random_target()
-    shifted = SampledFunction(f.points, f.values + 3.0)
-    assert abs(_deviation(model, shifted) - _deviation(model, f)) <= _tol(shifted)
+@_invariance
+@given(**_grids, c=st.floats(-10.0, 10.0))
+@example(dimension=2, size=9, seed=0, c=3.0)
+def test_deviation_invariant_under_adding_a_constant(dimension, size, seed, c):
+    # an identity outer over a basis holding the constant 1: g + c is in the model class
+    model, f = _model(*_MODELS["identity-affine"], _XY[:dimension]), _grid_target(dimension, size, seed)
+    shifted = SampledFunction(f.points, f.values + c)
+    deviations = _deviations(model, (shifted, EPS), (f, EPS))
+    if deviations:
+        assert abs(deviations[0] - deviations[1]) <= _tol(shifted)
 
 
 @pytest.mark.parametrize("case", _MODELS)

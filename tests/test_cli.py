@@ -160,6 +160,24 @@ def _fit_argv(tmp_path, **overrides):
     return ["fit", str(path)]
 
 
+def _verify_fitted(tmp_path, target, model, *degrees):
+    """argv of `verify` with `degrees` on a fresh 1-D fit, stored beside result.json, not as it."""
+    output = {"result_path": str(tmp_path / "fitted.json"), "surface_path": str(tmp_path / "fitted.csv")}
+    path, _ = _write_config(tmp_path, name="fitted_config.json", target=target, model=model,
+                            grid={"lower": -1.0, "upper": 1.0, "step": 0.02}, output=output)
+    assert cli.main(["fit", str(path)]) == 0
+    return ["verify", output["result_path"], *degrees]
+
+
+_RATIONAL_MODEL = {
+    "outer": "odd_power", "power": 3, "numerator_basis": ["1", "x"],
+    "denominator_basis": ["1", "x", "x^2"], "fixed_coefficient": {"index": 0, "value": 1.0},
+}
+
+
+_QUARTIC = {"outer": "identity", "numerator_basis": ["1", "x", "x^2", "x^3", "x^4"]}
+
+
 def _missing_dir_output(tmp_path, key):
     output = {"result_path": str(tmp_path / "result.json"), "surface_path": str(tmp_path / "surface.csv")}
     output[key] = str(tmp_path / "missing" / "out")
@@ -222,6 +240,11 @@ _UNHANDLED_INPUTS = {
     "coefficients-not-an-object": ("input", lambda tmp: [
         "verify", _crafted_result(tmp, _SURFACE, result={"coefficients": [1.0], "surface_path": "s.csv"}),
         "--n", "0", "--m", "1"]),
+    # degrees below the fit's effective degrees (1, 2) and 3: no count of alternations certifies them
+    "numerator-degree-above-n": ("input", lambda tmp: _verify_fitted(
+        tmp, "x^3/(2-x)", _RATIONAL_MODEL, "--n", "0", "--m", "1")),
+    "rational-fit-without-m": ("input", lambda tmp: _verify_fitted(tmp, "x^3/(2-x)", _RATIONAL_MODEL, "--n", "1")),
+    "polynomial-degree-above-n": ("input", lambda tmp: _verify_fitted(tmp, "x^5", _QUARTIC, "--n", "1")),
 }
 
 
@@ -283,6 +306,9 @@ _ENTRY_POINT_MESSAGES = {
     "grid-bound-of-wrong-length": "step must have one entry per variable: 1, not 2",
     "string-epsilon": "epsilon must be a JSON number",
     "coefficients-not-an-object": "coefficients must be a JSON object",
+    "numerator-degree-above-n": "actual numerator degree 1 exceeds nominal 0",
+    "rational-fit-without-m": "actual denominator degree 2 exceeds nominal 0",
+    "polynomial-degree-above-n": "actual numerator degree 3 exceeds nominal 1",
 }
 
 
@@ -336,12 +362,6 @@ def _without(config, *path):
         parent = parent[key]
     del parent[path[-1]]
     return config
-
-
-_RATIONAL_MODEL = {
-    "outer": "odd_power", "power": 3, "numerator_basis": ["1", "x"],
-    "denominator_basis": ["1", "x", "x^2"], "fixed_coefficient": {"index": 0, "value": 1.0},
-}
 
 
 @pytest.mark.parametrize("path", [
@@ -506,6 +526,8 @@ def test_verify_degree_one_from_crafted_surface(tmp_path, capsys):
     assert cli.main(["verify", str(result), "--n", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["certificate"]["count"] == 3
+    # the rational rule at m = 0 with effective degree 0: n + 2, and no defect reported
+    assert (report["required_count"], report["defect"]) == (3, None)
     assert report["verdict"] == "optimal"
 
 

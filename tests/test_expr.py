@@ -305,14 +305,23 @@ def test_exponent_chain_too_large_is_refused_quickly():
 
 
 @pytest.mark.parametrize("source, exponent", [
-    ("x^2^3^2", 512), ("x^0^99999999999999999999", 0), ("x^1^99999999999999999999", 1),
-    ("x^2^63", 2**63), ("x^3^39", 3**39), ("x^-2^3", -8),
+    ("x^2^3^2", 512), ("x^0^9223372036854775808", 0), ("x^1^9223372036854775808", 1),
+    ("x^2^63", 2**63), ("x^3^39", 3**39), ("x^-2^3", -8), ("x^9223372036854775808", 2**63),
+    ("x^-0009223372036854775808", -(2**63)),
 ])
 def test_exponent_chains_up_to_2_to_the_63_fold(source, exponent):
     assert parse(source, ["x"]) == Pow(Var("x"), exponent)
 
 
-@pytest.mark.parametrize("source, position", [("x^2^64", 3), ("x^3^40", 3), ("x^2^2^3^2", 3)])
+# a literal above 2**63 is refused at its own offset, as a fold is at its
+# '^'; one with 400 digits used to parse and fail in evaluation with
+# "overflow in power", and one with 5000 digits raised int()'s ValueError
+@pytest.mark.parametrize("source, position", [
+    ("x^2^64", 3), ("x^3^40", 3), ("x^2^2^3^2", 3),
+    ("x^9223372036854775809", 2), ("x^99999999999999999999", 2),
+    ("x^0^99999999999999999999", 4), ("x^1^99999999999999999999", 4),
+    pytest.param("x^-" + "9" * 400, 3, id="x^-400-nines"), pytest.param("x^" + "9" * 5000, 2, id="x^5000-nines"),
+])
 def test_exponent_chain_past_2_to_the_63_is_refused(source, position):
     with pytest.raises(ExprSyntaxError) as err:
         parse(source, ["x"])

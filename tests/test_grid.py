@@ -217,3 +217,13 @@ def test_write_csv_roundtrip_is_bit_exact():
     parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed.view(np.int64), table.view(np.int64))
     assert np.any(table.view(np.int64) == np.float64(-0.0).view(np.int64))
+
+
+def test_sampled_function_holds_read_only_views_of_the_callers_arrays():
+    points, values = np.zeros((3, 1)), np.arange(3.0)
+    f = SampledFunction(points, values)
+    for given_array, held in ((points, f.points), (values, f.values)):
+        assert given_array.flags.writeable and not held.flags.writeable
+        assert np.shares_memory(given_array, held)  # no copy is made
+    points[0, 0] = -1.0
+    assert f.points[0, 0] == -1.0

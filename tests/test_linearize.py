@@ -286,3 +286,13 @@ def test_level_lps_match_reference_assembly():
                 assert _same_bits(lp.objective, ref.objective)
                 assert _same_bits(lp.rows, ref.rows), (model.denominator, z)
                 assert _same_bits(lp.rhs, ref.rhs), (model.denominator, z)
+
+
+def test_linear_program_holds_read_only_views_of_the_callers_arrays():
+    c, G, h = np.ones(2), np.eye(2), np.zeros(2)
+    lp = LinearProgram(c, G, h, ("a", "b"))
+    for given_array, held in ((c, lp.objective), (G, lp.rows), (h, lp.rhs)):
+        assert given_array.flags.writeable and not held.flags.writeable
+        assert np.shares_memory(given_array, held)  # no copy is made
+    G[0, 0] = 5.0
+    assert lp.rows[0, 0] == 5.0

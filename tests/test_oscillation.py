@@ -13,6 +13,7 @@ from quasifit.oscillation import (
     compute_defect,
     effective_degree,
     extract_alternations,
+    required_count,
 )
 
 
@@ -92,6 +93,15 @@ def test_rational_thresholds():
     assert check_rational_optimality(1, 1, 0, AlternationReport((), (), 4, 1.0))
     assert check_rational_optimality(1, 1, 1, AlternationReport((), (), 3, 1.0))
     assert not check_rational_optimality(2, 1, 0, AlternationReport((), (), 4, 1.0))
+
+
+def test_polynomial_rule_is_the_rational_rule_at_m_zero():
+    assert required_count(1, 1, 1) == 3 and required_count(2, 3, 0) == 7
+    for n in range(4):
+        assert required_count(n, 0, 0) == n + 2
+        for count in range(7):
+            report = AlternationReport((), (), count, 1.0)
+            assert check_polynomial_optimality(n, report) == check_rational_optimality(n, 0, 0, report)
 
 
 def test_defect_examples():
