@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import asdict
 from typing import Any, Callable, Sequence, TextIO
@@ -206,6 +207,33 @@ def cmd_fit(config_path: str) -> int:
     return EXIT_OK
 
 
+def _effective_degree(result: dict, part: str) -> int:
+    """The effective degree of the result's `part` coefficients, 0 for none.
+
+    A result written by `fit` holds its config, and there each coefficient's
+    degree is that of its basis entry, `1`, `x` or `x^k`; coefficients of one
+    degree add up.  In a result without a config a coefficient's degree is
+    its position.
+    """
+    values = _get(_get(result, "coefficients", "object", {}), part, "numbers", [])  # null in an affine result
+    config = _get(result, "config", "object", None)
+    if config is None:
+        return effective_degree(values)
+    names = "|".join(map(re.escape, _get(config, "variables", "strings")))
+    basis = _get(_get(config, "model", "object"), f"{part}_basis", "strings", [])
+    if len(basis) != len(values):
+        raise ConfigError(f"{len(values)} {part} coefficients but {len(basis)} {part}_basis entries")
+    by_degree = {0: 0.0}  # so that a zero polynomial reads as degree 0
+    for entry, value in zip(basis, values):
+        monomial = re.fullmatch(rf"\s*(?:(1)|(?:{names})(?:\s*\^\s*(\d+))?)\s*", entry)
+        if monomial is None:
+            raise ConfigError(f"{part}_basis entry {entry!r} is not 1, x or x^k; verify needs its degree")
+        k = 0 if monomial[1] else int(monomial[2] or 1)
+        by_degree[k] = by_degree.get(k, 0.0) + value
+    degrees = sorted(by_degree)
+    return degrees[effective_degree([by_degree[k] for k in degrees])]
+
+
 def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
     result = _read(result_path, "result", json.load)
     if not isinstance(result, dict):
@@ -221,9 +249,7 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
     report = extract_alternations(residuals, tau=tau)
 
     nominal_m = m or 0  # a polynomial fit is the rational case m = 0
-    coeffs = _get(result, "coefficients", "object", {})
-    p = effective_degree(_get(coeffs, "numerator", "numbers", []))
-    q = effective_degree(_get(coeffs, "denominator", "numbers", []))  # null for an affine result
+    p, q = (_effective_degree(result, part) for part in ("numerator", "denominator"))
     d = compute_defect(n, nominal_m, p, q).defect
     print(json.dumps({
         "certificate": asdict(report),

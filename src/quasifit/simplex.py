@@ -1,4 +1,4 @@
-"""Dense two-phase simplex on the dual of inequality-form programs with free variables.
+"""Revised two-phase simplex on the dual of inequality-form programs with free variables.
 
 The primal  min c.v  subject to  G v <= h  with v sign-unrestricted has m
 rows but only n columns, and the level LPs of the fitter have m in the
@@ -6,20 +6,18 @@ thousands and n below ten.  It is solved through its dual in standard form,
 
     min h.y  subject to  G^T y = -c,  y >= 0,
 
-an n-row tableau with one artificial per equality row, driven out in phase
-one.  This is the classical treatment of discrete Chebyshev problems
-(Stiefel, Numer. Math. 1, 1959; Barrodale & Phillips, ACM TOMS Alg. 495,
-1975).  The rows of the optimal dual basis B are the active primal rows, so
-the primal solution solves  G[B] v = h[B].  Redundant equality rows, from a
-rank-deficient G, are deleted after phase one; v is then the
-minimum-norm solution of the shorter system.
+with n equality rows and one column per primal row, as in discrete Chebyshev
+approximation (Stiefel, Numer. Math. 1, 1959; Barrodale & Phillips, ACM TOMS
+Alg. 495, 1975).  Its only state is a basis, one primal row per equality
+row; each pivot factors that n x n matrix, and the multipliers v of
+G[B] v = h[B] price every column in one pass h - G v, the primal row slacks.
+The m columns never form a tableau; at the optimum v is the primal solution.
 
-A solve may be given a starting basis, one row per primal variable, such as
-the optimal basis of an earlier LP of the same shape (the bisection's
-previous level).  When those rows form a well-conditioned basis whose dual
-values B^-1(-c) are nonnegative, the tableau is built from B^-1 directly
-and phase one is skipped; phase two is the same code either way.
-Otherwise the solve runs both phases from the artificial start.
+A solve starts either from one artificial per equality row, driven out in
+phase one, which deletes the rows a rank-deficient G makes redundant (v is
+then the minimum-norm solution of the shorter system), or from a given
+basis, such as the previous bisection level's optimum, when it is well
+conditioned and its dual values B^-1(-c) are nonnegative.
 
 Verdicts follow from duality.  An unbounded dual means an infeasible
 primal.  An infeasible dual means the primal is unbounded or infeasible;
@@ -64,139 +62,114 @@ class LpSolution:
     basis: np.ndarray | None = None
 
 
-class _Tableau:
-    """Rows B^-1 [A | b] of A x = b, x >= 0, for the basis B; any artificial
-    columns sit between A and b until `drop_artificials`."""
+class _Basis:
+    """A basis of  G^T y = b, y >= 0: one column index per equality row, where
+    k < m names row k of G and m + i the artificial sign(b_i) e_i of row i."""
 
-    def __init__(self, T: np.ndarray, basis: np.ndarray, n_cols: int):
-        self.T = T
-        self.basis = basis
-        self.m = T.shape[0]
-        self.n_cols = n_cols  # structural columns; artificials follow
+    def __init__(self, G: np.ndarray, b: np.ndarray, index: np.ndarray):
+        self.G, self.b, self.index = G, b, index
+        self.sign = np.where(b < 0, -1.0, 1.0)
         self.iterations = 0
+        self.factor()
+
+    def factor(self) -> None:
+        """Lay out the basis matrix B and invert it; LinAlgError when it is singular."""
+        m, k = self.G.shape
+        real = self.index < m
+        self.B = np.zeros((k, k))
+        self.B[:, real] = self.G[self.index[real]].T
+        art = self.index[~real] - m
+        self.B[art, np.flatnonzero(~real)] = self.sign[art]
+        self.inv = np.linalg.inv(self.B)
 
     @classmethod
-    def artificial(cls, A: np.ndarray, b: np.ndarray) -> "_Tableau":
-        """Started from one artificial per row."""
-        m, n_cols = A.shape
-        sign = np.where(b < 0, -1.0, 1.0)
-        T = np.hstack([A * sign[:, None], np.eye(m), (b * sign)[:, None]])
-        return cls(T, n_cols + np.arange(m), n_cols)
-
-    @classmethod
-    def from_basis(cls, A: np.ndarray, b: np.ndarray, basis: np.ndarray) -> "_Tableau | None":
-        """Started from the structural columns `basis`, one per row; None
-        when they are (nearly) singular or their basic values are not >= 0."""
-        B = A[:, basis]
-        if not np.linalg.cond(B, 1) < _COND_MAX:
+    def start(cls, G: np.ndarray, b: np.ndarray, index: np.ndarray) -> "_Basis | None":
+        """The rows `index` of G as a basis; None when they are (nearly)
+        singular or their basic values are not >= 0."""
+        try:
+            basis = cls(G, b, index.copy())
+        except np.linalg.LinAlgError:
             return None
-        T = np.linalg.solve(B, np.column_stack([A, b]))
-        if T[:, -1].min() < -_FEAS_TOL * (1.0 + np.abs(b).max()):
-            return None
-        np.maximum(T[:, -1], 0.0, out=T[:, -1])  # what the tolerance let in is a degenerate 0
-        return cls(T, basis.copy(), A.shape[1])
-
-    def pivot(self, r: int, j: int) -> None:
-        T = self.T
-        piv = T[r, j]
-        T[r] /= piv
-        col = T[:, j].copy()
-        col[r] = 0.0
-        T -= np.outer(col, T[r])
-        self.basis[r] = j
+        cond = np.abs(basis.B).sum(axis=0).max() * np.abs(basis.inv).sum(axis=0).max()  # in the 1-norm
+        feasible = (basis.inv @ b).min() >= -_FEAS_TOL * (1.0 + np.abs(b).max())
+        return basis if cond < _COND_MAX and feasible else None
 
     def run(self, cost: np.ndarray, max_iterations: int) -> tuple[str, float]:
-        """Minimise cost over the current basis; returns (status, objective)."""
-        T = self.T
-        m = self.m
-        red = np.append(cost, 0.0)
-        for r, bc in enumerate(self.basis):
-            if cost[bc] != 0.0:
-                red -= cost[bc] * T[r]
-        bland = False
-        degenerate_run = 0
+        """Minimise cost.y from the current basis; the artificials are priced
+        when `cost` has entries past m.  Returns (status, objective)."""
+        G, m = self.G, self.G.shape[0]
+        bland, degenerate_run = False, 0
         while True:
-            cand = red[:-1]
-            if bland:
-                elig = np.flatnonzero(cand < -_RED_TOL)
-                if elig.size == 0:
-                    return OPTIMAL, -red[-1]
-                j = int(elig[0])
-            else:
-                j = int(np.argmin(cand))
-                if cand[j] >= -_RED_TOL:
-                    return OPTIMAL, -red[-1]
-            col = T[:, j]
-            elig_rows = col > _PIV_TOL
-            if not elig_rows.any():
-                if (col > _PIV_MIN).any():
-                    # only numerically meaningless pivots remain in this column
-                    if bland:
-                        return NUMERICAL_FAILURE, -red[-1]
-                    bland = True
-                    continue
-                return UNBOUNDED, -red[-1]
-            ratios = np.full(m, np.inf)
-            ratios[elig_rows] = T[elig_rows, -1] / col[elig_rows]
-            best = ratios.min()
-            ties = np.flatnonzero(ratios <= best + 1e-12)
-            if bland and ties.size > 1:
-                r = int(ties[np.argmin(self.basis[ties])])
-            else:
-                r = int(ties[0])
-            if T[r, -1] <= 1e-12:
-                degenerate_run += 1
-                if degenerate_run > 5 * m:
-                    bland = True
-            else:
-                degenerate_run = 0
-            self.pivot(r, j)
-            red -= red[j] * T[r]
+            inv = self.inv
+            x = np.maximum(inv @ self.b, 0.0)  # what a tolerance let below 0 is a degenerate 0
+            cost_b = cost[self.index]
+            v = inv.T @ cost_b
+            red = cost - (G @ v if cost.size == m else np.append(G @ v, self.sign * v))
+            red[self.index] = 0.0  # exactly, not up to the roundoff of a large cost
+            objective = float(cost_b @ x)
+            j = int(np.argmax(red < -_RED_TOL) if bland else np.argmin(red))
+            if red[j] >= -_RED_TOL:
+                return OPTIMAL, objective
+            d = inv @ G[j] if j < m else inv[:, j - m] * self.sign[j - m]
+            if not (d > _PIV_TOL).any():
+                if not (d > _PIV_MIN).any():
+                    return UNBOUNDED, objective
+                if bland:  # only numerically meaningless pivots remain in this column
+                    return NUMERICAL_FAILURE, objective
+                bland = True
+                continue
+            ratios = np.where(d > _PIV_TOL, x / np.maximum(d, _PIV_TOL), np.inf)
+            ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+            r = int(ties[np.argmin(self.index[ties])] if bland else ties[0])
+            degenerate_run = degenerate_run + 1 if x[r] <= 1e-12 else 0
+            bland = bland or degenerate_run > 5 * d.size
+            self.index[r] = j
             self.iterations += 1
+            self.factor()
             if self.iterations > max_iterations:
-                return NUMERICAL_FAILURE, -red[-1]
+                return NUMERICAL_FAILURE, objective
 
     def drop_artificials(self) -> None:
-        """Pivot basic artificials out; delete rows made redundant by them."""
+        """Pivot basic artificials out; delete the rows made redundant by them."""
+        m = self.G.shape[0]
         redundant = []
-        for r in range(self.m):
-            if self.basis[r] >= self.n_cols:
-                row = np.abs(self.T[r, : self.n_cols])
-                j = int(np.argmax(row))
-                if row[j] > 1e-9:
-                    self.pivot(r, j)
-                else:
-                    redundant.append(r)
+        for r in np.flatnonzero(self.index >= m):
+            row = np.abs(self.G @ self.inv[r])
+            j = int(np.argmax(row))
+            if row[j] > 1e-9:
+                self.index[r] = j
+                self.factor()
+            else:
+                redundant.append(r)
         if redundant:
-            keep = np.setdiff1d(np.arange(self.m), redundant)
-            self.T = self.T[keep]
-            self.basis = self.basis[keep]
-            self.m = keep.size
-        self.T = np.hstack([self.T[:, : self.n_cols], self.T[:, -1:]])
+            # an artificial's column touches only its own row, which goes with it
+            keep = np.setdiff1d(np.arange(self.index.size), self.index[redundant] - m)
+            self.G, self.b, self.sign = self.G[:, keep], self.b[keep], self.sign[keep]
+            self.index = np.delete(self.index, redundant)
+            self.factor()
 
 
 def _solve_dual(
     G: np.ndarray, h: np.ndarray, c: np.ndarray, max_iterations: int, start: np.ndarray | None = None
-) -> tuple[str, _Tableau]:
-    """min h.y s.t. G^T y = -c, y >= 0; the status is the dual's own.
-
-    Phase one is skipped when `start` is a feasible basis.
-    """
-    tab = None if start is None else _Tableau.from_basis(G.T, -c, start)
-    if tab is None:
-        tab = _Tableau.artificial(G.T, -c)
-        cost1 = np.zeros(tab.n_cols + tab.m)
-        cost1[tab.n_cols :] = 1.0
-        status, obj1 = tab.run(cost1, max_iterations)
-        # the phase-one objective is a sum of nonnegative variables, so an
-        # unbounded verdict here can only be numerical noise
-        if status != OPTIMAL:
-            return NUMERICAL_FAILURE, tab
-        if obj1 > 1e-7 * (1.0 + np.abs(c).max(initial=0.0)):
-            return INFEASIBLE, tab
-        tab.drop_artificials()
-    status, _ = tab.run(h, max_iterations)
-    return status, tab
+) -> tuple[str, _Basis]:
+    """min h.y s.t. G^T y = -c, y >= 0, from `start` if it is a feasible basis; the status is the dual's own."""
+    basis = None if start is None else _Basis.start(G, -c, start)
+    try:
+        if basis is None:
+            m, n = G.shape
+            basis = _Basis(G, -c, m + np.arange(n))
+            status, obj1 = basis.run(np.append(np.zeros(m), np.ones(n)), max_iterations)
+            # the phase-one objective is a sum of nonnegative variables, so an
+            # unbounded verdict here can only be numerical noise
+            if status != OPTIMAL:
+                return NUMERICAL_FAILURE, basis
+            if obj1 > 1e-7 * (1.0 + np.abs(c).max(initial=0.0)):
+                return INFEASIBLE, basis
+            basis.drop_artificials()
+        status, _ = basis.run(h, max_iterations)
+    except np.linalg.LinAlgError:  # the ratio test let a near-zero pivot through
+        return NUMERICAL_FAILURE, basis
+    return status, basis
 
 
 def solve(
@@ -219,25 +192,21 @@ def solve(
     if max_iterations is None:
         max_iterations = 20000 + 200 * (m + n)
 
-    status, tab = _solve_dual(G, h, c, max_iterations, start)
+    status, basis = _solve_dual(G, h, c, max_iterations, start)
     if status == OPTIMAL:
-        B = tab.basis
+        B = basis.index
         if B.size == n:
             try:
                 x = np.linalg.solve(G[B], h[B])
             except np.linalg.LinAlgError:  # the ratio test let a near-zero pivot through
-                return LpSolution(NUMERICAL_FAILURE, iterations=tab.iterations)
-            return LpSolution(OPTIMAL, x, float(c @ x), tab.iterations, B)
+                return LpSolution(NUMERICAL_FAILURE, iterations=basis.iterations)
+            return LpSolution(OPTIMAL, x, float(c @ x), basis.iterations, B)
         x = np.linalg.lstsq(G[B], h[B], rcond=None)[0]
-        return LpSolution(OPTIMAL, x, float(c @ x), tab.iterations)
+        return LpSolution(OPTIMAL, x, float(c @ x), basis.iterations)
     if status == UNBOUNDED:
-        return LpSolution(INFEASIBLE, iterations=tab.iterations)
-    if status == INFEASIBLE:
-        farkas, tab0 = _solve_dual(G, h, np.zeros(n), max_iterations - tab.iterations)
-        iterations = tab.iterations + tab0.iterations
-        if farkas == OPTIMAL:
-            return LpSolution(UNBOUNDED, iterations=iterations)
-        if farkas == UNBOUNDED:
-            return LpSolution(INFEASIBLE, iterations=iterations)
-        return LpSolution(NUMERICAL_FAILURE, iterations=iterations)
-    return LpSolution(status, iterations=tab.iterations)
+        return LpSolution(INFEASIBLE, iterations=basis.iterations)
+    if status == INFEASIBLE:  # the primal is unbounded exactly when the c = 0 dual is bounded
+        farkas, basis0 = _solve_dual(G, h, np.zeros(n), max_iterations - basis.iterations)
+        status = {OPTIMAL: UNBOUNDED, UNBOUNDED: INFEASIBLE}.get(farkas, NUMERICAL_FAILURE)
+        return LpSolution(status, iterations=basis.iterations + basis0.iterations)
+    return LpSolution(status, iterations=basis.iterations)

@@ -176,6 +176,7 @@ _RATIONAL_MODEL = {
 
 
 _QUARTIC = {"outer": "identity", "numerator_basis": ["1", "x", "x^2", "x^3", "x^4"]}
+_EVEN = {"outer": "identity", "numerator_basis": ["1", "x^2"]}  # fits x^4 by x^2 - 1/8, of degree 2
 
 
 def _missing_dir_output(tmp_path, key):
@@ -245,6 +246,9 @@ _UNHANDLED_INPUTS = {
         tmp, "x^3/(2-x)", _RATIONAL_MODEL, "--n", "0", "--m", "1")),
     "rational-fit-without-m": ("input", lambda tmp: _verify_fitted(tmp, "x^3/(2-x)", _RATIONAL_MODEL, "--n", "1")),
     "polynomial-degree-above-n": ("input", lambda tmp: _verify_fitted(tmp, "x^5", _QUARTIC, "--n", "1")),
+    "even-basis-degree-above-n": ("input", lambda tmp: _verify_fitted(tmp, "x^4", _EVEN, "--n", "1")),
+    "basis-entry-not-a-monomial": ("input", lambda tmp: _verify_fitted(
+        tmp, "x^4", {"outer": "identity", "numerator_basis": ["1", "x*x"]}, "--n", "2")),
 }
 
 
@@ -309,6 +313,8 @@ _ENTRY_POINT_MESSAGES = {
     "numerator-degree-above-n": "actual numerator degree 1 exceeds nominal 0",
     "rational-fit-without-m": "actual denominator degree 2 exceeds nominal 0",
     "polynomial-degree-above-n": "actual numerator degree 3 exceeds nominal 1",
+    "even-basis-degree-above-n": "actual numerator degree 2 exceeds nominal 1",
+    "basis-entry-not-a-monomial": "numerator_basis entry 'x*x' is not 1, x or x^k; verify needs its degree",
 }
 
 
@@ -437,6 +443,16 @@ def test_verify_under_converged_not_certified(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path / "result.json"), "--n", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "not-certified"
+
+
+@pytest.mark.parametrize("basis", [["1", "x^2"], [" x ^ 2 ", "1"]])
+def test_verify_reads_degrees_from_the_basis_entries(tmp_path, capsys, basis):
+    # x^2 - 1/8 equioscillates at five points; as a degree-2 fit it needs n + 2 = 4 of them
+    argv = _verify_fitted(tmp_path, "x^4", dict(_EVEN, numerator_basis=basis), "--n", "2")
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["required_count"], report["verdict"]) == (4, "optimal")
 
 
 def test_verify_rational_defect_route(tmp_path, capsys):

@@ -1,9 +1,14 @@
-from itertools import combinations
+import json
+import tracemalloc
+from itertools import combinations, count
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasifit.linearize import LinearProgram
+from quasifit import cli, simplex
+from quasifit.grid import sample
+from quasifit.linearize import LevelProblem, LinearProgram, build_feasibility_lp
 from quasifit.simplex import INFEASIBLE, NUMERICAL_FAILURE, OPTIMAL, UNBOUNDED, solve
 
 
@@ -250,3 +255,57 @@ def test_start_from_a_neighbouring_lp_matches_a_cold_solve():
         if cold.status == OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
     assert warm_starts > 50
+
+
+def test_level_lp_solve_allocates_less_than_its_rows():
+    # the rational benchmark on an 81 x 81 grid: 19,684 rows of 7 entries; the
+    # solve keeps an n-row basis, so it never holds an array the size of G
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    config = json.loads((configs / "benchmark_rational_cubed.json").read_text())
+    config["grid"]["step"] = [0.025, 0.025]
+    model, target, grid = cli._build_model(config)
+    lp = build_feasibility_lp(LevelProblem(model, sample(target, grid, model.variables)), 7.0)
+    assert lp.rows.shape == (19684, 7)
+    tracemalloc.start()
+    try:
+        sol = solve(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == OPTIMAL
+    assert peak < lp.rows.nbytes
+
+
+def _factor_fails_from_call(monkeypatch, first):
+    """Make the basis factorization raise LinAlgError from its `first`-th call on."""
+    calls = count(1)
+    factor = simplex._Basis.factor
+
+    def failing(self):
+        if next(calls) >= first:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return factor(self)
+
+    monkeypatch.setattr(simplex._Basis, "factor", failing)
+
+
+def test_factorization_failure_is_a_numerical_failure(monkeypatch):
+    _factor_fails_from_call(monkeypatch, 3)
+    sol = solve(_lp(*_BOX))
+    assert sol.status == NUMERICAL_FAILURE
+    assert sol.iterations == 2
+
+
+def test_factorization_failure_in_a_fit_exits_4(tmp_path, monkeypatch, capsys):
+    # LinAlgError is a ValueError, which `main` would report as a config error
+    config = {"variables": ["x"], "target": "x^2", "grid": {"lower": -1.0, "upper": 1.0, "step": 0.1},
+              "model": {"outer": "identity", "numerator_basis": ["1", "x"]},
+              "output": {"result_path": str(tmp_path / "result.json")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    _factor_fails_from_call(monkeypatch, 3)
+    assert cli.main(["fit", str(path)]) == 4
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "solver"
+    assert error["message"].startswith("LP oracle failed with status 'numerical_failure'")
+    assert not (tmp_path / "result.json").exists()
