@@ -2,11 +2,13 @@
 
 The uniform error of a quasiaffine model is a quasiconvex function of the
 coefficients, so its sublevel sets are nested polytopes.  Starting from the
-bracket [0, u0], where u0 is the deviation at the initial coefficients, each
-step solves the level-z feasibility LP at the midpoint: optimum u* <= 0
-means the level set is nonempty, so the upper bound moves down to z and the
-solution is kept; otherwise the lower bound moves up to z.  The bracket
-halves exactly, so the loop runs ceil(log2(u0 / epsilon)) times.
+bracket [0, u0], where u0 = max|f| is the deviation of the zero numerator
+(the start A = 0, B = 0 but for its fixed entry), each step solves the
+level-z feasibility LP at the midpoint: optimum u* <= 0 means the level set
+is nonempty, so the upper bound moves down to z and the solution is kept;
+otherwise the lower bound moves up to z.  The bracket halves exactly, so
+the loop runs ceil(log2(u0 / epsilon)) times; an epsilon below 2 ulp of u0
+is refused, since doubles cannot bisect that finely.
 
 Consecutive level LPs differ only in hi and lo, so each level's solve starts
 from the optimal basis of the one before.  For an affine model the dual's
@@ -79,19 +81,17 @@ def _oracle(
     raise FitError(f"LP oracle failed with status {sol.status!r} at level z={z}")
 
 
-def fit(
-    model: ModelClass,
-    f: SampledFunction,
-    epsilon: float = 1e-6,
-    initial: Coefficients | None = None,
-) -> FitResult:
+def fit(model: ModelClass, f: SampledFunction, epsilon: float = 1e-6) -> FitResult:
     """Minimise the uniform deviation of the model over the sampled function."""
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
-    if initial is None:
-        initial = default_initial_coefficients(model, f.points)
-    g0 = evaluate_model_values(model, initial, f.points)
-    u0 = float(np.max(np.abs(f.values - g0)))
+    initial = default_initial_coefficients(model, f.points)
+    # the start's numerator is +-0 at every point, and so is phi of it
+    u0 = float(np.max(np.abs(f.values)))
+    if u0 > epsilon and epsilon < 2.0 * np.spacing(u0):
+        # while the bracket is wider than 2 ulp(u0), its rounded midpoint lies strictly inside
+        raise ValueError(f"epsilon {epsilon!r} is below 2 ulp of max|f| = {u0!r}, "
+                         "finer than a bisection in doubles can go")
 
     lower = 0.0
     upper = u0

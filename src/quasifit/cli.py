@@ -7,8 +7,9 @@ exposes the finite convexity toolkit over small text files.
 
 Exit codes, with the `kind` of the one JSON error line on stderr: 0 success;
 2 `config` (`fit`) or `input` (`verify`, `convexity`) for a file that cannot
-be read, parsed or written or a bad config key or argument, and `evaluation`
-for a target or basis that fails or is not finite at a grid point;
+be read, parsed or written, a bad config key or argument, or a grid too
+large to hold in memory, and `evaluation` for a target or basis that fails
+or is not finite at a grid point;
 3 `infeasible_start` for a default denominator below the positivity margin;
 4 `solver` for a failed LP oracle or a fitted denominator below the margin.
 """
@@ -64,7 +65,7 @@ _FAILURES = (
     (InfeasibleInitialCoefficientsError, EXIT_INFEASIBLE, "infeasible_start"),
     ((FitError, DenominatorPositivityError), EXIT_NUMERICAL, "solver"),
     (EvaluationError, EXIT_CONFIG, "evaluation"),
-    ((OSError, ValueError, KeyError, TypeError), EXIT_CONFIG, None),
+    ((OSError, ValueError, KeyError, TypeError, MemoryError), EXIT_CONFIG, None),
 )
 
 
@@ -320,7 +321,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             if isinstance(exc, classes):
                 log.debug("%s failed", args.command, exc_info=True)
                 kind = kind or ("config" if args.command == "fit" else "input")
-                sys.stderr.write(json.dumps({"error": {"kind": kind, "message": str(exc)}}) + "\n")
+                message = str(exc)
+                if isinstance(exc, MemoryError):  # numpy's names the failed allocation, a bare one nothing
+                    message = "memory ran out" + (f": {message}" if message else "")
+                sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
                 return code
         raise
 

@@ -42,7 +42,6 @@ __all__ = [
     "evaluate",
     "power",
     "to_source",
-    "variables_of",
 ]
 
 
@@ -377,16 +376,3 @@ def to_source(expr: Expression) -> str:
             base = f"({base})"
         return f"{base}^{expr.exponent}"
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def variables_of(expr: Expression) -> set[str]:
-    """Names of all variables that occur in the tree."""
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, Neg):
-        return variables_of(expr.arg)
-    if isinstance(expr, BinOp):
-        return variables_of(expr.left) | variables_of(expr.right)
-    if isinstance(expr, Pow):
-        return variables_of(expr.base)
-    return set()

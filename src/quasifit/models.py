@@ -53,7 +53,8 @@ class InfeasibleInitialCoefficientsError(ValueError):
         pts = [tuple(map(float, p)) for p in failing_points]
         super().__init__(
             f"default denominator coefficients are infeasible at {len(pts)} point(s), "
-            f"e.g. {pts[0]}; supply explicit starting coefficients"
+            f"e.g. {pts[0]}; choose model.fixed_coefficient, model.delta or "
+            "model.denominator_basis so that the fixed term alone clears the margin"
         )
         self.failing_points = pts
 
@@ -235,7 +236,7 @@ def default_initial_coefficients(model: ModelClass, points: np.ndarray | None = 
 
     When evaluation points are supplied and the model is rational, the
     resulting denominator is checked against the positivity margin; failure
-    raises with the offending points so the caller can supply a start.
+    raises with the offending points.
     """
     coeffs = model.coefficients_from_free([0.0] * len(model.coefficient_names()))
     if model.denominator is not None and points is not None:

@@ -172,16 +172,16 @@ def _solve_dual(
     return status, basis
 
 
-def solve(
-    lp: LinearProgram, max_iterations: int | None = None, start: np.ndarray | None = None
-) -> LpSolution:
+def solve(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
     """Solve min c.v s.t. rows.v <= rhs with free v.
 
     `start` names one row per variable, for example the `basis` of an
     optimal solution of an LP of the same shape; when those rows make a
     feasible dual basis of this LP, the solve starts there and skips phase
-    one, and otherwise it runs from scratch.  Deterministic: identical input
-    yields an identical pivot path, solution and iteration count.
+    one, and otherwise it runs from scratch.  After 20000 + 200 (m + n)
+    pivots in all the solve gives up with a numerical failure.
+    Deterministic: identical input yields an identical pivot path, solution
+    and iteration count.
     """
     G, h, c = lp.rows, lp.rhs, lp.objective
     m, n = lp.row_count, lp.variable_count
@@ -189,9 +189,7 @@ def solve(
         if np.any(c != 0.0):
             return LpSolution(UNBOUNDED)
         return LpSolution(OPTIMAL, np.zeros(n), 0.0, 0)
-    if max_iterations is None:
-        max_iterations = 20000 + 200 * (m + n)
-
+    max_iterations = 20000 + 200 * (m + n)
     status, basis = _solve_dual(G, h, c, max_iterations, start)
     if status == OPTIMAL:
         B = basis.index

@@ -9,7 +9,6 @@ from quasifit.grid import Grid, SampledFunction, enumerate_points, sample
 from quasifit.linearize import LevelProblem
 from quasifit.models import (
     BasisSpec,
-    Coefficients,
     InfeasibleInitialCoefficientsError,
     ModelClass,
     MonotoneOuter,
@@ -141,14 +140,6 @@ def test_infeasible_start_raises():
     )
     with pytest.raises(InfeasibleInitialCoefficientsError):
         fit(model, f, epsilon=EPS)
-
-
-def test_caller_supplied_start():
-    f = SampledFunction.from_points([(0.0,), (1.0,)], [0.0, 1.0])
-    res = fit(_constant_model(), f, epsilon=EPS, initial=Coefficients((5.0,)))
-    # u0 = max(|0-5|, |1-5|) = 5 changes the iteration count but not the optimum
-    assert res.achieved_deviation == pytest.approx(0.5, abs=EPS)
-    assert res.iterations == expected_iterations(5.0, EPS)
 
 
 def test_global_optimality_against_scan():
@@ -285,6 +276,9 @@ def test_epsilon_validation():
     f = SampledFunction.from_points([(0.0,)], [1.0])
     with pytest.raises(ValueError):
         fit(_constant_model(), f, epsilon=0.0)
+    # below 2 ulp of max|f| the rounded midpoint would stop moving the bracket
+    with pytest.raises(ValueError, match=r"epsilon 1e-300 is below 2 ulp of max\|f\| = 1\.0"):
+        fit(_constant_model(), f, epsilon=1e-300)
 
 
 def test_trace_pivots_repeat_on_resolve():
@@ -455,7 +449,7 @@ def test_singular_optimal_basis_is_a_fit_error():
 def _cold_fit(model, f, epsilon=EPS):
     """The fit with every level LP solved from scratch, ignoring the start basis."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quasifit.bisection, "solve", lambda lp, max_iterations=None, start=None: solve(lp, max_iterations))
+        mp.setattr(quasifit.bisection, "solve", lambda lp, start=None: solve(lp))
         return fit(model, f, epsilon=epsilon)
 
 
@@ -476,6 +470,8 @@ def test_warm_started_levels_match_cold_solves(case, dimension, size, seed):
     warm, cold = fit(model, f, epsilon=EPS), _cold_fit(model, f)
     assert [(t.z, t.feasible) for t in warm.trace] == [(t.z, t.feasible) for t in cold.trace]
     assert (warm.lower, warm.upper, warm.iterations) == (cold.lower, cold.upper, cold.iterations)
+    # the zero numerator starts every fit, whatever the outer and the denominator
+    assert warm.iterations == expected_iterations(float(np.max(np.abs(f.values))), EPS)
     assert warm.lower <= warm.achieved_deviation <= warm.upper + 1e-8 * (1.0 + np.max(np.abs(f.values)))
 
 

@@ -113,6 +113,19 @@ def test_fit_oracle_failure_exit_4(tmp_path, monkeypatch, capsys):
     assert error["message"].startswith("LP oracle failed with status 'numerical_failure'")
 
 
+def test_fit_out_of_memory_exit_2(tmp_path, monkeypatch, capsys):
+    # a grid too large to enumerate; a bare MemoryError has an empty message
+    def sample(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "sample", sample)
+    path, _ = _write_config(tmp_path)
+    assert cli.main(["fit", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == {"kind": "config", "message": "memory ran out"}
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_fit_infeasible_start_exit_3(tmp_path):
     config = {
         "variables": ["x", "y"],
@@ -191,6 +204,8 @@ _UNHANDLED_INPUTS = {
         tmp, grid=_POLE, model={"outer": "identity", "numerator_basis": ["1", "1/x"]})),
     "denominator-pole": ("evaluation", lambda tmp: _fit_argv(tmp, grid=_POLE, model=_RATIONAL_POLE)),
     "negative-epsilon": ("config", lambda tmp: _fit_argv(tmp, solver={"epsilon": -1})),
+    "unresolvable-epsilon": ("config", lambda tmp: _fit_argv(
+        tmp, target="x^2", grid={"lower": -1.0, "upper": 1.0, "step": 0.5}, solver={"epsilon": 1e-300})),
     "result-in-missing-dir": ("config", lambda tmp: _missing_dir_output(tmp, "result_path")),
     "surface-in-missing-dir": ("config", lambda tmp: _missing_dir_output(tmp, "surface_path")),
     "surface-without-residual": ("input", lambda tmp: [
@@ -309,6 +324,8 @@ _ENTRY_POINT_MESSAGES = {
     "string-grid-bound": "lower must be a JSON number or a JSON list of numbers",
     "grid-bound-of-wrong-length": "step must have one entry per variable: 1, not 2",
     "string-epsilon": "epsilon must be a JSON number",
+    "unresolvable-epsilon":
+        "epsilon 1e-300 is below 2 ulp of max|f| = 1.0, finer than a bisection in doubles can go",
     "coefficients-not-an-object": "coefficients must be a JSON object",
     "numerator-degree-above-n": "actual numerator degree 1 exceeds nominal 0",
     "rational-fit-without-m": "actual denominator degree 2 exceeds nominal 0",
@@ -385,11 +402,11 @@ def test_missing_config_key_is_named(tmp_path, capsys, path):
 
 
 @pytest.mark.parametrize("model, calls", [
-    ({"outer": "identity", "numerator_basis": ["1", "x"]}, 3), (_RATIONAL_MODEL, 7),
+    ({"outer": "identity", "numerator_basis": ["1", "x"]}, 2), (_RATIONAL_MODEL, 5),
 ], ids=["affine", "rational"])
 def test_fit_command_evaluates_the_bases_once_per_use(tmp_path, monkeypatch, model, calls):
-    # the default start's denominator, u0, the level problem and the final
-    # values, and no second evaluation for the surface
+    # the default start's denominator, the level problem and the final values;
+    # u0 = max|f| needs none, and the surface no second evaluation
     import quasifit.models
 
     counted = []

@@ -24,7 +24,6 @@ from quasifit.expr import (
     evaluate,
     parse,
     to_source,
-    variables_of,
 )
 
 
@@ -118,11 +117,6 @@ def test_number_literal_forms():
     assert evaluate(parse(".5 + 2.", ["x"]), {}) == 2.5
     assert evaluate(parse("1e2 + 1E-2", ["x"]), {}) == 100.01
     assert evaluate(parse("2.5e1", ["x"]), {}) == 25.0
-
-
-def test_variables_of():
-    e = parse("x*y + x^2", ["x", "y", "z"])
-    assert variables_of(e) == {"x", "y"}
 
 
 # --- randomized structural properties ---------------------------------------

@@ -138,7 +138,8 @@ def test_dependent_equality_like_pair():
 
 def test_iteration_cap_reports_numerical_failure():
     lp = _lp([-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
-    assert solve(lp, max_iterations=1).status == NUMERICAL_FAILURE
+    status, _ = simplex._solve_dual(lp.rows, lp.rhs, lp.objective, 1)
+    assert status == NUMERICAL_FAILURE
 
 
 def test_matches_brute_force_on_random_bounded_instances():
