@@ -13,6 +13,14 @@ model is pure data.  The grammar is deliberately small:
 Precedence is ^ above unary minus above * and / above + and -, with ^
 right-associative.  Implicit multiplication is not supported and exponents
 must be integer literals, which keeps evaluation total on negative bases.
+
+`evaluate` takes one array per variable and runs each tree node as one
+array operation.  When the arrays enumerate a Cartesian product in
+lexicographic order, as the points of a regular grid do, it finds the
+product's axes from the arrays themselves and runs every node over the
+axes it depends on, broadcasting as the axes meet: a node over one variable
+costs as many operations as that axis has values, not as the grid has
+points.
 """
 
 from __future__ import annotations
@@ -259,61 +267,117 @@ def evaluate(expr: Expression, point: Mapping[str, float | np.ndarray]) -> float
 
     `point` maps each variable name to a real, or to a 1-D array holding that
     coordinate of every point (all of equal length).  Each tree node is one
-    array operation over all points; a point of reals is the one-point case
-    and gives a float.  Errors carry the index of the first point at which
-    evaluation fails.
+    array operation; a point of reals is the one-point case and gives a
+    float.  When the columns enumerate a Cartesian product in lexicographic
+    order, last column fastest, as a regular grid does, every node is taken
+    over the product's axes and broadcast: `y^3` on a 401 x 401 grid is 401
+    powers.  Each point still sees the same operations on the same operands,
+    so the bits do not depend on the shape.  Errors carry the index of the
+    first point at which evaluation fails.
     """
     columns = {name: np.asarray(v, dtype=float) for name, v in point.items()}
     shapes = {c.shape for c in columns.values()} or {()}
     if len(shapes) > 1 or any(len(s) > 1 for s in shapes):
         raise ValueError("point values must be reals or 1-D arrays of equal length")
     (shape,) = shapes
+    size = math.prod(shape)
     columns = {name: c.reshape(-1) for name, c in columns.items()}
+    axes, counts = _product(columns, size)
     with np.errstate(all="ignore"):  # inf and nan propagate as in float arithmetic
         try:
-            out = _node(expr, columns, math.prod(shape))
+            out = _node(expr, axes, counts)
         except EvaluationError as exc:
             # a node evaluated later may fail at an earlier point: look there first
             if exc.index:
                 evaluate(expr, {name: c[: exc.index] for name, c in columns.items()})
             raise
     if not shape:
-        return float(out[0])
-    return out.copy() if isinstance(expr, Var) else out
+        return out.item()
+    if out.size == size and not isinstance(expr, Var):
+        return out.reshape(-1)
+    values = np.empty(size)  # the one copy: broadcast out of the axes, or off the caller's column
+    values.reshape(counts)[...] = out
+    return values
 
 
-def _node(expr: Expression, columns: dict[str, np.ndarray], size: int) -> np.ndarray:
+def _product(columns: dict[str, np.ndarray], size: int) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
+    """The columns as the axes of the Cartesian product they enumerate, with its counts.
+
+    Column k of a lexicographic product repeats each of its axis values in a
+    run as long as the product of the counts after k, so its first run gives
+    the count of axis k.  The guess is checked against every point, by bits
+    so that -0.0 and 0.0 stay apart.  Any other point set is its own
+    one-axis product, of shape (size,).
+    """
+    cloud = columns, (size,)
+    if not columns or not size:
+        return cloud
+    counts, stride = [], size
+    for c in columns.values():
+        head = c[:stride].view(np.int64)
+        run = int(np.argmax(head != head[0])) or stride
+        if stride % run:
+            return cloud
+        counts.append(stride // run)
+        stride = run
+    if stride != 1:
+        return cloud
+    axes = {}
+    for k, (name, c) in enumerate(columns.items()):
+        run = math.prod(counts[k + 1 :])
+        axis = c[: counts[k] * run : run].reshape([1] * k + [counts[k]] + [1] * (len(counts) - k - 1))
+        if not (c.view(np.int64).reshape(counts) == axis.view(np.int64)).all():
+            return cloud
+        axes[name] = axis
+    return axes, tuple(counts)
+
+
+def _node(expr: Expression, columns: dict[str, np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """expr over `columns`, whose shapes broadcast to `shape`; the result broadcasts to it too."""
     if isinstance(expr, Const):
-        return np.full(size, expr.value)
+        # no element over no points, where `1/0` must not fail
+        return np.full([min(n, 1) for n in shape], expr.value)
     if isinstance(expr, Var):
         try:
             return columns[expr.name]
         except KeyError:
             raise EvaluationError(f"variable {expr.name!r} is not assigned") from None
     if isinstance(expr, Neg):
-        return -_node(expr.arg, columns, size)
+        return -_node(expr.arg, columns, shape)
     if isinstance(expr, BinOp):
-        a = _node(expr.left, columns, size)
-        b = _node(expr.right, columns, size)
+        a = _node(expr.left, columns, shape)
+        b = _node(expr.right, columns, shape)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
             return a - b
         if expr.op == "*":
             return a * b
-        _raise_at(b == 0.0, "division by zero")
+        _raise_at(b == 0.0, "division by zero", shape)
         return a / b
     if isinstance(expr, Pow):
-        base = _node(expr.base, columns, size)
+        base = _node(expr.base, columns, shape)
         if expr.exponent < 0:
-            _raise_at(base == 0.0, "division by zero")
-        return power(base, expr.exponent)
+            _raise_at(base == 0.0, "division by zero", shape)
+        try:
+            return power(base, expr.exponent)
+        except EvaluationError as exc:
+            raise EvaluationError(str(exc), _first_point(exc.index, base.shape, shape)) from None
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _raise_at(mask: np.ndarray, message: str) -> None:
+def _raise_at(mask: np.ndarray, message: str, shape: tuple[int, ...]) -> None:
     if mask.any():
-        raise EvaluationError(message, int(np.argmax(mask)))
+        raise EvaluationError(message, _first_point(int(np.argmax(mask)), mask.shape, shape))
+
+
+def _first_point(k: int, node: tuple[int, ...], shape: tuple[int, ...]) -> int:
+    """The first point that element k (C order) of a node of shape `node` is broadcast to.
+
+    Broadcasting keeps C order, so the first element of a node that fails
+    lands on the first point that fails.
+    """
+    return int(np.ravel_multi_index(np.unravel_index(k, node), shape))
 
 
 def power(base: float | np.ndarray, exponent: float) -> np.ndarray:

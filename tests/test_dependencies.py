@@ -5,13 +5,13 @@ from pathlib import Path
 import quasifit
 
 SOURCES = sorted(Path(quasifit.__file__).resolve().parent.glob("*.py"))
+TOOLS = sorted((Path(__file__).resolve().parents[1] / "tools").glob("*.py"))
 
 
-def test_numpy_is_the_only_runtime_dependency():
-    # scipy is installed for the cross-check tests, but the package must not need it
-    assert SOURCES
+def _imports_outside(sources, allowed):
+    """`file: module` for every absolute import of a module outside the standard library and `allowed`."""
     outside = set()
-    for source in SOURCES:
+    for source in sources:
         for node in ast.walk(ast.parse(source.read_text(), str(source))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -20,5 +20,16 @@ def test_numpy_is_the_only_runtime_dependency():
             else:
                 continue
             outside |= {f"{source.name}: {name}" for name in names
-                        if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}}
-    assert not outside
+                        if name.partition(".")[0] not in sys.stdlib_module_names | allowed}
+    return outside
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy is installed for the cross-check tests, but the package must not need it
+    assert SOURCES
+    assert not _imports_outside(SOURCES, {"numpy"})
+
+
+def test_tools_need_only_the_standard_library():
+    assert TOOLS
+    assert not _imports_outside(TOOLS, set())

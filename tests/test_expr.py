@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -124,17 +125,17 @@ def test_number_literal_forms():
 _names = st.sampled_from(["x", "y", "z"])
 
 
-def _expressions() -> st.SearchStrategy:
+def _expressions(names=_names, ops="+-*", min_exponent=0) -> st.SearchStrategy:
     consts = st.floats(min_value=0.0, max_value=10.0, allow_nan=False).map(Const)
-    atoms = st.one_of(consts, _names.map(Var))
+    atoms = st.one_of(consts, names.map(Var))
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from("+-*"), children, children).map(
+            st.tuples(st.sampled_from(ops), children, children).map(
                 lambda t: BinOp(t[0], t[1], t[2])
             ),
             children.map(Neg),
-            st.tuples(children, st.integers(min_value=0, max_value=4)).map(
+            st.tuples(children, st.integers(min_value=min_exponent, max_value=4)).map(
                 lambda t: Pow(t[0], t[1])
             ),
         )
@@ -153,6 +154,8 @@ def _naive_eval(e, env):
     if isinstance(e, Pow):
         return _naive_eval(e.base, env) ** e.exponent
     a, b = _naive_eval(e.left, env), _naive_eval(e.right, env)
+    if e.op == "/":
+        return a / b
     return {"+": a + b, "-": a - b, "*": a * b}[e.op]
 
 
@@ -208,6 +211,45 @@ def test_array_evaluation_matches_naive_recursion_per_point(e, points):
     assert all(_same_float(g, want) for g, want in zip(got.tolist(), expected))
 
 
+# axis values: both zeros, repeats, and reals in [-3, 3]
+_axis_values = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.0]), st.floats(-3, 3))
+
+
+@st.composite
+def _grid_columns(draw):
+    """The columns of a 2-D or 3-D lexicographic grid, last axis fastest, or of 0 or 1 points."""
+    d = draw(st.sampled_from([2, 3]))
+    names = "xyz"[:d]
+    if draw(st.booleans()):
+        points = list(itertools.product(*(draw(st.lists(_axis_values, min_size=1, max_size=6)) for _ in names)))
+    else:
+        points = draw(st.lists(st.tuples(*[_axis_values] * d), max_size=1))
+    return {name: np.array([p[k] for p in points]) for k, name in enumerate(names)}
+
+
+@given(st.data(), _grid_columns())
+def test_grid_evaluation_matches_naive_recursion_per_point(data, columns):
+    e = data.draw(_expressions(st.sampled_from(sorted(columns)), "+-*/", -2))
+    points = [dict(zip(columns, p)) for p in zip(*(c.tolist() for c in columns.values()))]
+
+    def fails(env):
+        try:
+            evaluate(e, env)
+        except EvaluationError:
+            return True
+        return False
+
+    first = next((k for k, env in enumerate(points) if fails(env)), None)
+    if first is not None:
+        with pytest.raises(EvaluationError) as err:
+            evaluate(e, columns)
+        assert err.value.index == first
+        return
+    got = evaluate(e, columns)
+    assert isinstance(got, np.ndarray) and got.shape == (len(points),)
+    assert all(_same_float(g, _naive_eval(e, env)) for g, env in zip(got.tolist(), points))
+
+
 def test_array_evaluation_errors_name_the_first_failing_index():
     with pytest.raises(EvaluationError) as err:
         evaluate(parse("1 / x", ["x"]), {"x": np.array([1.0, 0.0, 0.0])})
@@ -227,6 +269,8 @@ def test_array_evaluation_of_constants_and_bare_variables():
     assert np.array_equal(out, x) and out is not x
     with pytest.raises(ValueError):
         evaluate(parse("x + y", ["x", "y"]), {"x": x, "y": np.zeros(3)})
+    # no point, so nothing fails
+    assert evaluate(parse("1/0 + 1e300^9", ["x"]), {"x": np.array([])}).shape == (0,)
 
 
 # --- tokenizer against the scanning loop it replaced ------------------------

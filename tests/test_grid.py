@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from quasifit.expr import EvaluationError, parse
-from quasifit.grid import Grid, SampledFunction, enumerate_points, export_csv, sample, write_csv
+import quasifit.expr
+from quasifit.expr import EvaluationError, parse, power
+from quasifit.grid import Grid, SampledFunction, enumerate_points, evaluate_at, export_csv, sample, write_csv
 
 
 def test_unit_interval_step_tenth():
@@ -108,6 +109,12 @@ def test_sample_propagates_evaluation_error_with_point():
         ("1/(x - 1) + 1/x", Grid((-1.0,), (1.0,), (1.0,)), "division by zero at point (0.0,)"),
         # 5^400 is finite, 6^400 overflows: the first overflowing point is named
         ("x^400", Grid((0.0,), (10.0,), (1.0,)), "overflow in power at point (6.0,)"),
+        # on a 2-D grid each node runs over the axes it depends on, and its
+        # first failing element is mapped back to the first failing point
+        ("1/(x - 2) + 1/(y - 1)", Grid((0.0, 0.0), (2.0, 2.0), (1.0, 1.0)), "division by zero at point (0.0, 1.0)"),
+        ("x^400 + y", Grid((0.0, 0.0), (10.0, 2.0), (1.0, 1.0)), "overflow in power at point (6.0, 0.0)"),
+        ("y^400 + x", Grid((0.0, 0.0), (2.0, 10.0), (1.0, 1.0)), "overflow in power at point (0.0, 6.0)"),
+        ("(x*y)^400", Grid((-10.0, 0.0), (10.0, 10.0), (1.0, 1.0)), "overflow in power at point (-10.0, 1.0)"),
     ],
 )
 def test_sample_names_first_failing_point(source, grid, message):
@@ -115,6 +122,25 @@ def test_sample_names_first_failing_point(source, grid, message):
     with pytest.raises(EvaluationError) as err:
         sample(parse(source, variables), grid, variables)
     assert str(err.value) == message
+
+
+def test_sampling_a_grid_powers_each_axis_value_once(monkeypatch):
+    sizes = []
+
+    def counting(base, exponent):
+        sizes.append(np.asarray(base).size)
+        return power(base, exponent)
+
+    monkeypatch.setattr(quasifit.expr, "power", counting)
+    g = Grid((-1.0, -1.0), (1.0, 1.0), (0.005, 0.005))
+    f = parse("(-x + y^3 + x^4)^4", ["x", "y"])
+    sf = sample(f, g, ["x", "y"])
+    # y^3 and x^4 over 401 axis values each, then ^4 over all 160,801 points
+    assert sum(sizes) <= 161_603
+    sizes.clear()
+    shuffled = np.random.default_rng(17).permutation(sf.points)
+    evaluate_at(f, ["x", "y"], shuffled)
+    assert sum(sizes) == 3 * 160_801
 
 
 def test_sample_names_first_non_finite_point():
