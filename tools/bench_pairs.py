@@ -7,13 +7,14 @@ Exports REV with `git archive`, and copies the working tree's files as they
 are on disk (tracked, and untracked but not ignored), into two sibling
 directories of a temporary directory, `base` and `work`: a run's peak RSS
 and fit times can depend on the directory it runs in, so both sides run
-from paths of the same length.  For seeds 1..N it runs BENCHMARK.json's
-command once in each copy, for each workload, alternating which side runs
-first.  It then writes BENCH_<label>.json at the root of the working tree
-with, per workload and end-to-end metric, each side's runs, median and
-quartiles, the median's relative change, and the pairs the change won (was
-better in), together with the CPU count, the Python and numpy versions and
-both checkout directories.  Standard library only.
+from paths of the same length. For seeds 1..N it runs BENCHMARK.json's
+command once in each copy, for the benchmark's `run_seconds`, for each
+workload, alternating which side runs first. It then writes
+BENCH_<label>.json at the root of the working tree with, per workload and
+end-to-end metric, each side's runs, median and quartiles, the median's
+relative change, and the pairs the change won (was better in), together
+with the CPU count, the Python and numpy versions and both checkout
+directories. Standard library only.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload, seeds 1..N (at least 2)")
     p.add_argument("--workload", nargs="+", choices=names, default=names)
     p.add_argument("--label", default="pairs", help="the output is BENCH_<label>.json")
-    p.add_argument("--seconds", type=int, default=bench["run_seconds"], help="length of each run")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("base", "change") if seed % 2 else ("change", "base")
             for w in args.workload:
                 for side in order:
-                    res = run(command, sides[side], w, seed, args.seconds)
+                    res = run(command, sides[side], w, seed, bench["run_seconds"])
                     runs[w][side].append(res)
                     print(f"seed {seed} {w} {side}: " + ", ".join(
                         f"{k}={v['value']:.4g}" for k, v in res["metrics"].items()), flush=True)
@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         "base": {"rev": args.base, "commit": commit, "checkout": str(sides["base"])},
         "change": {"checkout": str(sides["change"])},
         "pairs": args.pairs,
-        "seconds": args.seconds,
+        "seconds": bench["run_seconds"],
         "order": "odd seeds run the base first, even seeds the change",
         "environment": environment(command[0]),
         "workloads": {},
