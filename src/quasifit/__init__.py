@@ -19,7 +19,6 @@ from .models import (
     ModelClass,
     MonotoneOuter,
     default_initial_coefficients,
-    evaluate_model,
     evaluate_model_values,
 )
 from .oscillation import (
@@ -53,7 +52,6 @@ __all__ = [
     "default_initial_coefficients",
     "enumerate_points",
     "evaluate",
-    "evaluate_model",
     "evaluate_model_values",
     "expected_iterations",
     "extract_alternations",

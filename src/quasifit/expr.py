@@ -362,22 +362,13 @@ def _node(expr: Expression, columns: dict[str, np.ndarray], shape: tuple[int, ..
         try:
             return power(base, expr.exponent)
         except EvaluationError as exc:
-            raise EvaluationError(str(exc), _first_point(exc.index, base.shape, shape)) from None
+            _raise_at(np.arange(base.size).reshape(base.shape) == exc.index, str(exc), shape)
     raise TypeError(f"not an expression node: {expr!r}")
 
 
 def _raise_at(mask: np.ndarray, message: str, shape: tuple[int, ...]) -> None:
     if mask.any():
-        raise EvaluationError(message, _first_point(int(np.argmax(mask)), mask.shape, shape))
-
-
-def _first_point(k: int, node: tuple[int, ...], shape: tuple[int, ...]) -> int:
-    """The first point that element k (C order) of a node of shape `node` is broadcast to.
-
-    Broadcasting keeps C order, so the first element of a node that fails
-    lands on the first point that fails.
-    """
-    return int(np.ravel_multi_index(np.unravel_index(k, node), shape))
+        raise EvaluationError(message, int(np.argmax(np.broadcast_to(mask, shape)))) from None
 
 
 def power(base: float | np.ndarray, exponent: float) -> np.ndarray:

@@ -36,11 +36,15 @@ class Grid:
             raise ValueError("lower, upper and step must have equal length")
         if len(self.lower) == 0:
             raise ValueError("grid must have at least one axis")
-        for lo, hi, st in zip(self.lower, self.upper, self.step):
+        for axis, (lo, hi, st) in enumerate(zip(self.lower, self.upper, self.step), 1):
+            if not all(map(math.isfinite, (lo, hi, st))):
+                raise ValueError(f"axis {axis}: lower {lo}, upper {hi} and step {st} must be finite")
             if not (lo <= hi):
                 raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
             if not (st > 0):
                 raise ValueError(f"step must be positive, got {st}")
+            if not math.isfinite((hi - lo) / st):
+                raise ValueError(f"axis {axis}: (upper - lower) / step = ({hi} - {lo}) / {st} is not finite")
 
     @property
     def dimension(self) -> int:
@@ -114,16 +118,16 @@ class SampledFunction:
 
 def sample(f: Expression, grid: Grid, variables: Sequence[str]) -> SampledFunction:
     """Evaluate `f` at every grid point, in enumeration order."""
-    if len(variables) != grid.dimension:
-        raise ValueError(
-            f"expression has {len(variables)} variables but grid has dimension {grid.dimension}"
-        )
     pts = enumerate_points(grid)
     return SampledFunction(pts, evaluate_at(f, variables, pts), grid)
 
 
 def evaluate_at(f: Expression, variables: Sequence[str], points: np.ndarray) -> np.ndarray:
-    """`f` at every row of an (N, d) point array; a failure or non-finite value names its point."""
+    """`f` at every row of an (N, d) point array, one distinct name per column; a failure names its point."""
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"variable names must be distinct, got {list(variables)}")
+    if len(variables) != points.shape[1]:
+        raise ValueError(f"points have {points.shape[1]} coordinates, but the variables are {list(variables)}")
     try:
         values = evaluate(f, dict(zip(variables, points.T)))
     except EvaluationError as exc:

@@ -30,7 +30,6 @@ __all__ = [
     "Coefficients",
     "DenominatorPositivityError",
     "InfeasibleInitialCoefficientsError",
-    "evaluate_model",
     "evaluate_model_values",
     "default_initial_coefficients",
     "basis_matrix",
@@ -209,11 +208,6 @@ def _combine(mat: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
     for j in range(1, len(coeffs)):
         r = r + mat[:, j] * coeffs[j]
     return r
-
-
-def evaluate_model(model: ModelClass, coeffs: Coefficients, point: Sequence[float]) -> float:
-    """g(A, x) at a single point: the one-row case of `evaluate_model_values`."""
-    return float(evaluate_model_values(model, coeffs, np.array([point], dtype=float))[0])
 
 
 def evaluate_model_values(model: ModelClass, coeffs: Coefficients, points: np.ndarray) -> np.ndarray:

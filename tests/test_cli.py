@@ -253,6 +253,12 @@ _UNHANDLED_INPUTS = {
     "grid-bound-of-wrong-length": ("config", lambda tmp: _fit_argv(
         tmp, grid={"lower": -1.0, "upper": 1.0, "step": [0.5, 0.5]})),
     "string-epsilon": ("config", lambda tmp: _fit_argv(tmp, solver={"epsilon": "1e-6"})),
+    # both names would bind the second coordinate, so f = x would read 10 at x1 = 0
+    "repeated-variable": ("config", lambda tmp: _fit_argv(
+        tmp, variables=["x", "x"], grid={"lower": [0.0, 10.0], "upper": [1.0, 11.0], "step": 1.0})),
+    "grid-count-overflows": ("config", lambda tmp: _fit_argv(tmp, grid={"lower": 0, "upper": 1e300, "step": 1e-300})),
+    "infinite-grid-bound": ("config", lambda tmp: _fit_argv(
+        tmp, grid={"lower": 0, "upper": float("inf"), "step": 0.5})),
     "coefficients-not-an-object": ("input", lambda tmp: [
         "verify", _crafted_result(tmp, _SURFACE, result={"coefficients": [1.0], "surface_path": "s.csv"}),
         "--n", "0", "--m", "1"]),
@@ -324,6 +330,9 @@ _ENTRY_POINT_MESSAGES = {
     "string-grid-bound": "lower must be a JSON number or a JSON list of numbers",
     "grid-bound-of-wrong-length": "step must have one entry per variable: 1, not 2",
     "string-epsilon": "epsilon must be a JSON number",
+    "repeated-variable": "variable names must be distinct, got ['x', 'x']",
+    "grid-count-overflows": "axis 1: (upper - lower) / step = (1e+300 - 0.0) / 1e-300 is not finite",
+    "infinite-grid-bound": "axis 1: lower 0.0, upper inf and step 0.5 must be finite",
     "unresolvable-epsilon":
         "epsilon 1e-300 is below 2 ulp of max|f| = 1.0, finer than a bisection in doubles can go",
     "coefficients-not-an-object": "coefficients must be a JSON object",

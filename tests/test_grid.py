@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,27 @@ def test_invalid_grids_rejected():
         Grid((0.0,), (1.0,), (0.1, 0.1))
 
 
+@pytest.mark.parametrize(
+    "lower, upper, step, message",
+    [
+        (0.0, float("inf"), 0.5, "axis 2: lower 0.0, upper inf and step 0.5 must be finite"),
+        (float("nan"), 1.0, 0.5, "axis 2: lower nan, upper 1.0 and step 0.5 must be finite"),
+        (0.0, 1e300, 1e-300, "axis 2: (upper - lower) / step = (1e+300 - 0.0) / 1e-300 is not finite"),
+        (-1e308, 1e308, 1.0, "axis 2: (upper - lower) / step = (1e+308 - -1e+308) / 1.0 is not finite"),
+    ],
+    ids=["infinite", "nan", "count-overflows", "span-overflows"],
+)
+def test_grid_needs_a_finite_point_count(lower, upper, step, message):
+    # the second axis is at fault, and the message names it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Grid((0.0, lower), (1.0, upper), (1.0, step)).cardinality()
+
+
+def test_grid_near_the_largest_double():
+    # lower + upper + step overflows here, yet every value and the count are finite
+    assert Grid((1e308,), (1.7e308,), (1e307,)).cardinality() == 8
+
+
 def test_sample_zero_function():
     g = Grid((-1.0, -1.0), (1.0, 1.0), (0.5, 0.5))
     sf = sample(parse("0", ["x", "y"]), g, ["x", "y"])
@@ -115,10 +137,16 @@ def test_sample_propagates_evaluation_error_with_point():
         ("x^400 + y", Grid((0.0, 0.0), (10.0, 2.0), (1.0, 1.0)), "overflow in power at point (6.0, 0.0)"),
         ("y^400 + x", Grid((0.0, 0.0), (2.0, 10.0), (1.0, 1.0)), "overflow in power at point (0.0, 6.0)"),
         ("(x*y)^400", Grid((-10.0, 0.0), (10.0, 10.0), (1.0, 1.0)), "overflow in power at point (-10.0, 1.0)"),
+        # on three axes a node over the middle one must map back through it
+        ("x + y^400 + z", Grid((0.0, 0.0, 0.0), (1.0, 10.0, 1.0), (1.0, 1.0, 1.0)),
+         "overflow in power at point (0.0, 6.0, 0.0)"),
+        ("x*z + 1/(y - 2)", Grid((0.0,) * 3, (2.0,) * 3, (1.0,) * 3), "division by zero at point (0.0, 2.0, 0.0)"),
+        ("(x*z)^-1 + y", Grid((-1.0, 0.0, -1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+         "division by zero at point (-1.0, 0.0, 0.0)"),
     ],
 )
 def test_sample_names_first_failing_point(source, grid, message):
-    variables = ["x", "y"][: grid.dimension]
+    variables = ["x", "y", "z"][: grid.dimension]
     with pytest.raises(EvaluationError) as err:
         sample(parse(source, variables), grid, variables)
     assert str(err.value) == message

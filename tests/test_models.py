@@ -13,7 +13,6 @@ from quasifit.models import (
     MonotoneOuter,
     basis_matrix,
     default_initial_coefficients,
-    evaluate_model,
     evaluate_model_values,
 )
 
@@ -27,14 +26,14 @@ def _basis(sources, variables=("x",)):
 def test_cubed_constant():
     # 2^3 = 8 at any point
     m = ModelClass(("x",), MonotoneOuter.odd_power(3), _basis(["1"]))
-    assert evaluate_model(m, Coefficients((2.0,)), (0.7,)) == 8.0
-    assert evaluate_model(m, Coefficients((2.0,)), (-5.0,)) == 8.0
+    assert evaluate_model_values(m, Coefficients((2.0,)), [(0.7,)])[0] == 8.0
+    assert evaluate_model_values(m, Coefficients((2.0,)), [(-5.0,)])[0] == 8.0
 
 
 def test_affine_identity_model():
     # 1 + 2*3 = 7
     m = ModelClass(("x",), MonotoneOuter.identity(), _basis(["1", "x"]))
-    assert evaluate_model(m, Coefficients((1.0, 2.0)), (3.0,)) == 7.0
+    assert evaluate_model_values(m, Coefficients((1.0, 2.0)), [(3.0,)])[0] == 7.0
 
 
 def test_rational_constant_ratio():
@@ -42,7 +41,7 @@ def test_rational_constant_ratio():
     m = ModelClass(
         ("x",), MonotoneOuter.identity(), _basis(["1"]), _basis(["1"]), (0, 2.0)
     )
-    assert evaluate_model(m, Coefficients((4.0,), (2.0,)), (0.0,)) == 2.0
+    assert evaluate_model_values(m, Coefficients((4.0,), (2.0,)), [(0.0,)])[0] == 2.0
 
 
 def test_denominator_below_margin_errors_with_point():
@@ -50,7 +49,7 @@ def test_denominator_below_margin_errors_with_point():
         ("x",), MonotoneOuter.identity(), _basis(["1"]), _basis(["x"]), (0, 1.0), 1e-4
     )
     with pytest.raises(DenominatorPositivityError) as err:
-        evaluate_model(m, Coefficients((1.0,), (1.0,)), (-0.5,))
+        evaluate_model_values(m, Coefficients((1.0,), (1.0,)), [(-0.5,)])
     assert err.value.point == (-0.5,)
     assert str(err.value).endswith("at point (-0.5,)")
 
@@ -60,7 +59,7 @@ def test_fixed_coefficient_must_match_exactly():
         ("x",), MonotoneOuter.identity(), _basis(["1"]), _basis(["1"]), (0, 1.0)
     )
     with pytest.raises(ValueError):
-        evaluate_model(m, Coefficients((1.0,), (2.0,)), (0.0,))
+        evaluate_model_values(m, Coefficients((1.0,), (2.0,)), [(0.0,)])
 
 
 def test_denominator_requires_fixed_coefficient():
@@ -143,23 +142,14 @@ def test_vectorized_evaluation_matches_pointwise():
     assert pts.shape[0] == 41 * 41
     vec = evaluate_model_values(m, coeffs, pts)
     for k in range(pts.shape[0]):
-        assert vec[k] == evaluate_model(m, coeffs, pts[k])
+        assert vec[k] == evaluate_model_values(m, coeffs, [pts[k]])[0]
 
 
-@given(
-    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
-    st.tuples(*[st.floats(-2.0, 2.0)] * 3), st.floats(-0.5, 0.5),
-)
-def test_single_point_evaluation_is_the_one_row_case(x, y, a, b):
-    m = ModelClass(
-        XY,
-        MonotoneOuter.odd_power(3),
-        _basis(["1", "x", "x*y"], XY),
-        _basis(["1", "y^2"], XY),
-        (0, 1.0),
-    )
-    coeffs = Coefficients(a, (1.0, b))
-    assert evaluate_model(m, coeffs, (x, y)) == evaluate_model_values(m, coeffs, [(x, y)])[0]
+def test_points_need_one_coordinate_per_variable():
+    # a column without a name is refused, not dropped
+    m = ModelClass(("x",), MonotoneOuter.identity(), _basis(["x"]))
+    with pytest.raises(ValueError, match=r"^points have 2 coordinates, but the variables are \['x'\]$"):
+        evaluate_model_values(m, Coefficients((1.0,)), np.array([[1.0, 5.0], [2.0, 6.0]]))
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6), st.sampled_from([1, 3, 5, 7]))
@@ -222,7 +212,7 @@ def test_quasiaffinity_on_coefficient_segments():
         for t in ts:
             a = tuple((1 - t) * np.array(ends[0].numerator) + t * np.array(ends[1].numerator))
             b = tuple((1 - t) * np.array(ends[0].denominator) + t * np.array(ends[1].denominator))
-            vals.append(evaluate_model(m, Coefficients(a, b), x0))
+            vals.append(evaluate_model_values(m, Coefficients(a, b), [x0])[0])
         interior_max = max(vals[1:-1]) if len(vals) > 2 else -np.inf
         scale = 1.0 + abs(vals[0]) + abs(vals[-1])
         assert interior_max <= max(vals[0], vals[-1]) + 1e-9 * scale

@@ -12,9 +12,10 @@ command once in each copy, for the benchmark's `run_seconds`, for each
 workload, alternating which side runs first. It then writes
 BENCH_<label>.json at the root of the working tree with, per workload and
 end-to-end metric, each side's runs, median and quartiles, the median's
-relative change, and the pairs the change won (was better in), together
-with the CPU count, the Python and numpy versions and both checkout
-directories. Standard library only.
+relative change, the pairs the change won (was better in) and a verdict
+against the metric's bound (see `compare`), together with the CPU count,
+the Python and numpy versions and both checkout directories. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -69,13 +70,27 @@ def summary(values: list[float]) -> dict:
 
 
 def compare(base: list[dict], change: list[dict], metric: dict) -> dict:
-    """One metric over the pairs: both sides' spread and how often the change was better."""
+    """One metric over the pairs: both sides' spread, how often the change was better, and a verdict.
+
+    The verdict is `worse` when the change's median is worse than the base's
+    by more than the metric's bound (a fraction of the base median);
+    otherwise `unresolved` when either side's (Q3 - Q1) / median exceeds the
+    bound and not every change run beats every base run; otherwise `within bound`.
+    """
     a = [r["metrics"][metric["name"]]["value"] for r in base]
     b = [r["metrics"][metric["name"]]["value"] for r in change]
     sign = 1 if metric["better"] == "lower" else -1
-    out = {"unit": metric["unit"], "bound": metric["bound"], "base": summary(a), "change": summary(b)}
+    bound = metric["bound"]
+    out = {"unit": metric["unit"], "bound": bound, "base": summary(a), "change": summary(b)}
     out["median_change"] = out["change"]["median"] / out["base"]["median"] - 1
     out["pairs_won"] = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+    spread = max((s["q3"] - s["q1"]) / s["median"] for s in (out["base"], out["change"]))
+    if sign * out["median_change"] > bound:
+        out["verdict"] = "worse"
+    elif spread > bound and not all(sign * (y - x) < 0 for x in a for y in b):
+        out["verdict"] = "unresolved"
+    else:
+        out["verdict"] = "within bound"
     return out
 
 
@@ -133,13 +148,13 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\n{'workload':16} {'metric':12} {'base median [q1-q3]':>28} {'change median [q1-q3]':>28} "
-          f"{'won':>5} {'change':>8}")
+          f"{'won':>5} {'change':>8}  verdict")
     for w, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
             a, b = m["base"], m["change"]
             print(f"{w:16} {name:12} {a['median']:10.4g} [{a['q1']:.4g}-{a['q3']:.4g}] "
                   f"{b['median']:10.4g} [{b['q1']:.4g}-{b['q3']:.4g}] "
-                  f"{m['pairs_won']:>2}/{args.pairs} {m['median_change']:+8.1%}")
+                  f"{m['pairs_won']:>2}/{args.pairs} {m['median_change']:+8.1%}  {m['verdict']}")
     print(f"wrote {out}")
     return 0
 
