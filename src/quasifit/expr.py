@@ -20,7 +20,8 @@ lexicographic order, as the points of a regular grid do, it finds the
 product's axes from the arrays themselves and runs every node over the
 axes it depends on, broadcasting as the axes meet: a node over one variable
 costs as many operations as that axis has values, not as the grid has
-points.
+points.  A failure takes the same one pass: each failing node records its
+first failing point, and `evaluate` raises once, at the earliest of them.
 """
 
 from __future__ import annotations
@@ -270,8 +271,9 @@ def evaluate(expr: Expression, point: Mapping[str, float | np.ndarray]) -> float
     order, last column fastest, as a regular grid does, every node is taken
     over the product's axes and broadcast: `y^3` on a 401 x 401 grid is 401
     powers.  Each point still sees the same operations on the same operands,
-    so the bits do not depend on the shape.  Errors carry the index of the
-    first point at which evaluation fails.
+    so the bits do not depend on the shape.  An `EvaluationError` carries the
+    index of the first point at which evaluation fails; where several nodes
+    fail there, the message is that of the node evaluated first.
     """
     return _evaluator(point)(expr)
 
@@ -289,14 +291,12 @@ def _evaluator(point: Mapping[str, float | np.ndarray]) -> Callable[[Expression]
     axes, counts = _product(columns, size)
 
     def evaluate_here(expr: Expression) -> float | np.ndarray:
+        failures: list[tuple[int, str]] = []
         with np.errstate(all="ignore"):  # inf and nan propagate as in float arithmetic
-            try:
-                out = _node(expr, axes, counts)
-            except EvaluationError as exc:
-                # a node evaluated later may fail at an earlier point: look there first
-                if exc.index:
-                    evaluate(expr, {name: c[: exc.index] for name, c in columns.items()})
-                raise
+            out = _node(expr, axes, counts, failures)
+        if failures:  # the earliest point; on a tie, the node evaluated first
+            index, message = min(failures, key=lambda failure: failure[0])
+            raise EvaluationError(message, index)
         if not shape:
             return out.item()
         if out.size == size and not isinstance(expr, Var):
@@ -340,43 +340,45 @@ def _product(columns: dict[str, np.ndarray], size: int) -> tuple[dict[str, np.nd
     return axes, tuple(counts)
 
 
-def _node(expr: Expression, columns: dict[str, np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
-    """expr over `columns`, whose shapes broadcast to `shape`; the result broadcasts to it too."""
+def _node(expr: Expression, columns: dict[str, np.ndarray], shape: tuple[int, ...],
+          failures: list[tuple[int, str]]) -> np.ndarray:
+    """expr over `columns`, whose shapes broadcast to `shape`; the result broadcasts to it too.
+    A failing node appends (its first failing point, a message) to `failures` and goes on."""
+    if isinstance(expr, Var):
+        if expr.name in columns:
+            return columns[expr.name]
+        failures.append((0, f"variable {expr.name!r} is not assigned"))
+        expr = Const(math.nan)  # a placeholder, so that evaluation goes on
     if isinstance(expr, Const):
         # no element over no points, where `1/0` must not fail
         return np.full([min(n, 1) for n in shape], expr.value)
-    if isinstance(expr, Var):
-        try:
-            return columns[expr.name]
-        except KeyError:
-            raise EvaluationError(f"variable {expr.name!r} is not assigned") from None
     if isinstance(expr, Neg):
-        return -_node(expr.arg, columns, shape)
+        return -_node(expr.arg, columns, shape, failures)
     if isinstance(expr, BinOp):
-        a = _node(expr.left, columns, shape)
-        b = _node(expr.right, columns, shape)
+        a = _node(expr.left, columns, shape, failures)
+        b = _node(expr.right, columns, shape, failures)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
             return a - b
         if expr.op == "*":
             return a * b
-        _raise_at(b == 0.0, "division by zero", shape)
+        _fail(failures, b == 0.0, "division by zero", shape)
         return a / b
     if isinstance(expr, Pow):
-        base = _node(expr.base, columns, shape)
+        base = _node(expr.base, columns, shape, failures)
         if expr.exponent < 0:
-            _raise_at(base == 0.0, "division by zero", shape)
-        try:
-            return power(base, expr.exponent)
-        except EvaluationError as exc:
-            _raise_at(np.arange(base.size).reshape(base.shape) == exc.index, str(exc), shape)
+            _fail(failures, base == 0.0, "division by zero", shape)
+        out = power(base, expr.exponent)
+        _fail(failures, np.isinf(out) & np.isfinite(base), "overflow in power", shape)
+        return out
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def _raise_at(mask: np.ndarray, message: str, shape: tuple[int, ...]) -> None:
+def _fail(failures: list[tuple[int, str]], mask: np.ndarray, message: str, shape: tuple[int, ...]) -> None:
+    """Record the first point of `shape` where `mask`, broadcast to it, holds."""
     if mask.any():
-        raise EvaluationError(message, int(np.argmax(np.broadcast_to(mask, shape)))) from None
+        failures.append((int(np.argmax(np.broadcast_to(mask, shape))), message))
 
 
 def power(base: float | np.ndarray, exponent: float) -> np.ndarray:
@@ -385,14 +387,11 @@ def power(base: float | np.ndarray, exponent: float) -> np.ndarray:
     This is the pow that `math.pow` and Python's float ** call.  On float64
     `np.float_power` calls it for each element, in C; `np.power` does not:
     its SIMD loop can differ from libm in the last bit, which would move
-    fitted coefficients.  An infinite result from a finite base is an
-    overflow, raised at its first element in C order.
+    fitted coefficients.  Where the result overflows it is ±inf, as in C;
+    `evaluate` reports that as an error, `power` does not.
     """
-    base = np.asarray(base, dtype=float)
     with np.errstate(all="ignore"):
-        out = np.float_power(base, float(exponent))
-    _raise_at(np.isinf(out) & np.isfinite(base), "overflow in power", base.shape)
-    return out
+        return np.float_power(np.asarray(base, dtype=float), float(exponent))
 
 
 _PREC_SUM = 0

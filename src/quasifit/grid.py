@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -120,35 +120,34 @@ class SampledFunction:
 def sample(f: Expression, grid: Grid, variables: Sequence[str]) -> SampledFunction:
     """Evaluate `f` at every grid point, in enumeration order."""
     pts = enumerate_points(grid)
-    return SampledFunction(pts, evaluate_at(f, variables, pts), grid)
+    return SampledFunction(pts, evaluate_at([f], variables, pts)[:, 0], grid)
 
 
-def evaluate_at(f: Expression, variables: Sequence[str], points: np.ndarray) -> np.ndarray:
-    """`f` at every row of an (N, d) point array, one distinct name per column; a failure names its point."""
-    return _evaluator_at(variables, points)(f)
+def evaluate_at(fs: Sequence[Expression], variables: Sequence[str], points: np.ndarray) -> np.ndarray:
+    """Each of `fs` at every row of an (N, d) point array: an (N, len(fs)) array, one column per expression.
 
-
-def _evaluator_at(variables: Sequence[str], points: np.ndarray) -> Callable[[Expression], np.ndarray]:
-    """`evaluate_at` on fixed points as a function of the expression: the
-    names are bound, and the points' product found, once for all expressions."""
+    Variable k reads column k of the points, and the names must be distinct.
+    The points' product is found once for all expressions.  An evaluation
+    failure, or else a non-finite value, raises `EvaluationError` naming its
+    point, the first expression's before the second's.
+    """
     if len(set(variables)) != len(variables):
         raise ValueError(f"variable names must be distinct, got {list(variables)}")
     if len(variables) != points.shape[1]:
         raise ValueError(f"points have {points.shape[1]} coordinates, but the variables are {list(variables)}")
     evaluate_here = _evaluator(dict(zip(variables, points.T)))
-
-    def at(f: Expression) -> np.ndarray:
+    # filled in place, so one evaluated column at a time is alive next to the result
+    out = np.empty((points.shape[0], len(fs)))
+    for j, f in enumerate(fs):
         try:
-            values = evaluate_here(f)
+            out[:, j] = values = evaluate_here(f)
         except EvaluationError as exc:
             raise EvaluationError(f"{exc} at point {tuple(map(float, points[exc.index]))}", exc.index) from exc
         bad = ~np.isfinite(values)
         if bad.any():
             k = int(np.argmax(bad))
             raise EvaluationError(f"non-finite value {values[k]} at point {tuple(map(float, points[k]))}", k)
-        return values
-
-    return at
+    return out
 
 
 def export_csv(sf: SampledFunction, out: TextIO) -> None:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expression, parse, power
-from .grid import _evaluator_at
+from .grid import evaluate_at
 
 __all__ = [
     "BasisSpec",
@@ -99,9 +99,9 @@ class MonotoneOuter:
         return cls(p)
 
     def forward(self, t: float | np.ndarray) -> np.ndarray:
-        """phi elementwise; odd powers use numpy's power."""
+        """phi elementwise; odd powers use libm pow, as every power in quasifit does (`expr.power`)."""
         t = np.asarray(t, dtype=float)
-        return t if self.power == 1 else t**self.power
+        return t if self.power == 1 else power(t, self.power)
 
     def inverse(self, s: float | np.ndarray) -> np.ndarray:
         """phi inverse elementwise; odd roots use libm pow, as Python's float ** does."""
@@ -194,13 +194,7 @@ def _check_shapes(model: ModelClass, coeffs: Coefficients) -> None:
 
 def basis_matrix(basis: BasisSpec, variables: Sequence[str], points: np.ndarray) -> np.ndarray:
     """Evaluate every basis function at every point: (N, len(basis)) array."""
-    pts = np.atleast_2d(points)
-    at = _evaluator_at(variables, pts)  # finds the points' product once for every function
-    # filled in place, so one evaluated column at a time is alive next to the matrix
-    out = np.empty((pts.shape[0], len(basis)), dtype=float)
-    for j, fn in enumerate(basis.functions):
-        out[:, j] = at(fn)
-    return out
+    return evaluate_at(basis.functions, variables, np.atleast_2d(points))
 
 
 def _combine(mat: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:

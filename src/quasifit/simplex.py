@@ -76,7 +76,10 @@ class _Basis:
         self.factor()
 
     def factor(self) -> None:
-        """Lay out the basis matrix B and invert it; LinAlgError when it is singular."""
+        """Lay out the basis matrix B and invert it; LinAlgError when it is singular.
+
+        `B` is the matrix of the last factor: a pivot updates only the inverse.
+        """
         m, k = self.G.shape
         real = self.index < m
         self.B = np.zeros((k, k))
@@ -93,13 +96,11 @@ class _Basis:
         k-th pivot of a basis of size k, so roundoff cannot pile up;
         LinAlgError when a refactor finds B singular.
         """
-        m, k = self.G.shape
         self.index[r] = j
         self.updates += 1
-        if self.updates == k:
+        if self.updates == self.G.shape[1]:
             self.factor()
             return
-        self.B[:, r] = self.G[j] if j < m else np.where(np.arange(k) == j - m, self.sign, 0.0)
         row = self.inv[r] / d[r]
         self.inv -= np.outer(d, row)
         self.inv[r] = row

@@ -263,6 +263,41 @@ def test_array_evaluation_errors_name_the_first_failing_index():
     assert str(err.value) == "overflow in power" and err.value.index == 1
 
 
+def test_nodes_failing_at_one_point_name_the_one_evaluated_first():
+    x = {"x": np.array([0.0, 2.0])}
+    with pytest.raises(EvaluationError, match="^overflow in power$") as err:
+        evaluate(parse("(x + 1e300)^2 + 1/x", ["x"]), x)
+    assert err.value.index == 0
+    with pytest.raises(EvaluationError, match="^division by zero$") as err:
+        evaluate(parse("1/x + (x + 1e300)^2", ["x"]), x)
+    assert err.value.index == 0
+
+
+def test_unassigned_variable_fails_at_the_first_point_in_evaluation_order():
+    x = {"x": np.array([0.0, 1.0])}
+    with pytest.raises(EvaluationError, match="^division by zero$"):
+        evaluate(parse("1/x + z", ["x", "z"]), x)
+    with pytest.raises(EvaluationError, match="^variable 'z' is not assigned$"):
+        evaluate(parse("z + 1/x", ["x", "z"]), x)
+    with pytest.raises(EvaluationError, match="^variable 'z' is not assigned$"):
+        evaluate(parse("z", ["z"]), {"x": np.array([])})
+
+
+def test_a_failing_evaluation_runs_each_node_once(monkeypatch):
+    exponents = []
+
+    def counting(base, exponent):
+        exponents.append(exponent)
+        return power(base, exponent)
+
+    monkeypatch.setattr(quasifit.expr, "power", counting)
+    # the first node fails at point 3, the last at point 1
+    with pytest.raises(EvaluationError, match="^division by zero$") as err:
+        evaluate(parse("(x - 3)^-1 + x^2 + (x - 1)^-1", ["x"]), {"x": np.arange(5.0)})
+    assert err.value.index == 1
+    assert exponents == [-1, 2, -1]
+
+
 # ordinary magnitudes, where numpy's SIMD power differs from libm in the last
 # bit for about 5 % of the bases; every double but NaN, which brings both
 # zeros, subnormals, both infinities and the largest magnitudes; and of the
@@ -288,13 +323,12 @@ def test_power_is_libm_pow_bit_for_bit(bases, exponent):
     # math.pow raises ValueError on a negative base to a fraction and on 0 to a negative power
     bases = [b for b in bases if _libm_error(b, exponent) is not ValueError]
     overflows = [_libm_error(b, exponent) is OverflowError for b in bases]
-    if any(overflows):
-        with pytest.raises(EvaluationError) as err:
-            power(np.array(bases), exponent)
-        assert str(err.value) == "overflow in power" and err.value.index == overflows.index(True)
-    finite = np.array([b for b, over in zip(bases, overflows) if not over])
-    expected = np.array([math.pow(b, exponent) for b in finite.tolist()])
-    assert np.array_equal(power(finite, exponent).view(np.int64), expected.view(np.int64))
+    # where math.pow overflows, C's pow gives an infinity of the result's sign
+    expected = np.array([
+        math.copysign(math.inf, b) if over and exponent % 2 == 1 else math.inf if over else math.pow(b, exponent)
+        for b, over in zip(bases, overflows)
+    ])
+    assert np.array_equal(power(np.array(bases), exponent).view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("exponent", [*range(-5, 18), 1 / 3, 1 / 5])
@@ -310,9 +344,10 @@ def test_power_is_libm_pow_on_ordinary_bases(exponent):
 def test_power_overflow_names_its_first_element():
     # an infinite base is no overflow; the first finite one whose power is infinite is
     with pytest.raises(EvaluationError) as err:
-        power(np.array([[math.inf, 2.0], [1e300, -1e300]]), 3)
+        evaluate(parse("x^3", ["x"]), {"x": np.array([math.inf, 2.0, 1e300, -1e300])})
     assert str(err.value) == "overflow in power" and err.value.index == 2
-    assert power(np.array([math.inf, -math.inf, 0.0]), 3).tolist() == [math.inf, -math.inf, 0.0]
+    assert evaluate(parse("x^3", ["x"]), {"x": np.array([math.inf, -math.inf, 0.0])}).tolist() == [
+        math.inf, -math.inf, 0.0]
 
 
 def test_array_evaluation_of_constants_and_bare_variables():

@@ -169,7 +169,7 @@ def test_sampling_a_grid_powers_each_axis_value_once(monkeypatch):
     assert sum(sizes) <= 161_603
     sizes.clear()
     shuffled = np.random.default_rng(17).permutation(sf.points)
-    evaluate_at(f, ["x", "y"], shuffled)
+    evaluate_at([f], ["x", "y"], shuffled)
     assert sum(sizes) == 3 * 160_801
 
 
@@ -178,6 +178,24 @@ def test_sample_names_first_non_finite_point():
     with pytest.raises(EvaluationError) as err:
         sample(parse("1e300 * x^100", ["x"]), g, ["x"])
     assert str(err.value) == "non-finite value inf at point (2.0,)"
+
+
+def test_evaluate_at_fills_one_column_per_expression():
+    pts = np.array([[1.0, 2.0], [3.0, -1.0]])
+    out = evaluate_at([parse(s, ["x", "y"]) for s in ("x", "y^2", "x*y", "1")], ["x", "y"], pts)
+    assert out.tolist() == [[1.0, 4.0, 2.0, 1.0], [3.0, 1.0, -3.0, 1.0]]
+    assert evaluate_at([], ["x", "y"], pts).shape == (2, 0)
+
+
+def test_evaluate_at_checks_each_expression_in_order():
+    # the first expression's non-finite value is found before the second's division by zero
+    fs = [parse("x * x", ["x"]), parse("1 / x", ["x"])]
+    with pytest.raises(EvaluationError, match=r"^non-finite value inf at point \(1e\+200,\)$") as err:
+        evaluate_at(fs, ["x"], np.array([[1e200], [0.0]]))
+    assert err.value.index == 0
+    with pytest.raises(EvaluationError, match=r"^division by zero at point \(0\.0,\)$") as err:
+        evaluate_at(fs[::-1], ["x"], np.array([[1e200], [0.0]]))
+    assert err.value.index == 1
 
 
 def test_point_cloud_constructor():

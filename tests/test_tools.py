@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,12 +8,14 @@ import pytest
 def _load(name):
     spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # so that one tool can import another loaded before it
     spec.loader.exec_module(module)
     return module
 
 
 bench_pairs = _load("bench_pairs")
 tier1 = _load("tier1")
+same_outputs = _load("same_outputs")
 
 
 def _runs(values):
@@ -76,3 +79,28 @@ def test_tier1_maps_junit_cases_to_node_ids(classname, name, node):
 )
 def test_bench_pairs_workload_flags_accumulate(argv, workloads):
     assert bench_pairs.parse_args(["--base", "HEAD", *argv], ["a", "b", "c"]).workload == workloads
+
+
+def test_same_outputs_names_each_file_that_differs(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "work"
+    for side in (base, change):
+        (side / "fit").mkdir(parents=True)
+        (side / "fit" / "result.json").write_text('{"iterations": 27}\n')
+        (side / "surface.csv").write_text("x1,g\n0.0,1.0\n")
+    assert same_outputs.file_differences(base, change) == []
+    (change / "surface.csv").write_text("x1,g\n0.0,1.0000000000000002\n")
+    (base / "fit" / "result.json").unlink()
+    (change / "extra.csv").write_text("")
+    assert same_outputs.file_differences(base, change) == [
+        "extra.csv: only in change", "fit/result.json: only in change", "surface.csv: differs"]
+
+
+def test_same_outputs_compares_report_outputs():
+    base = {"rounds": [{"errors": []}], "outputs": {"fine_deviation": {"affine": 1.5}, "verify": {"ok": True}}}
+    assert same_outputs.output_differences("w", base, base) == []
+    change = {"rounds": [{"errors": ["fit affine: OperationFailed: exited with 4"]}],
+              "outputs": {"fine_deviation": {"affine": 1.25}, "verify": {"ok": True}}}
+    assert same_outputs.output_differences("w", base, change) == [
+        "w change: fit affine: OperationFailed: exited with 4",
+        """w outputs['fine_deviation']: {"affine": 1.5} against {"affine": 1.25}""",
+    ]
