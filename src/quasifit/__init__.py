@@ -10,7 +10,7 @@ extensions and Caratheodory numbers for set-theoretic convexity structures.
 """
 
 from .bisection import FitResult, certify_bracket, expected_iterations, fit
-from .expr import evaluate, parse, to_source
+from .expr import evaluate, parse
 from .grid import Grid, SampledFunction, enumerate_points, sample
 from .linearize import LevelProblem, LinearProgram, build_feasibility_lp
 from .models import (
@@ -59,5 +59,4 @@ __all__ = [
     "parse",
     "sample",
     "solve",
-    "to_source",
 ]

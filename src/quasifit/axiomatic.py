@@ -64,9 +64,7 @@ __all__ = [
     "caratheodory_number",
     "family_over_rows",
     "parse_family_text",
-    "family_to_text",
     "parse_function_table_csv",
-    "function_table_to_csv",
 ]
 
 INF = math.inf
@@ -390,16 +388,6 @@ def parse_family_text(text: str) -> ConvexityFamily:
     return ConvexityFamily(ground, members)
 
 
-def family_to_text(family: ConvexityFamily) -> str:
-    lines = ["ground: " + ",".join(family.ground.labels)]
-    for member in sorted_members(family):
-        if not member:
-            lines.append("{}")
-        else:
-            lines.append(",".join(family.ground.labels[i] for i in sorted(member)))
-    return "\n".join(lines) + "\n"
-
-
 def parse_function_table_csv(text: str) -> FunctionTable:
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -408,10 +396,3 @@ def parse_function_table_csv(text: str) -> FunctionTable:
     ground = GroundSet(tuple(cell.strip() for cell in rows[0]))
     values = tuple(tuple(float(cell) for cell in row) for row in rows[1:])
     return FunctionTable(ground, values)
-
-
-def function_table_to_csv(table: FunctionTable) -> str:
-    lines = [",".join(table.ground.labels)]
-    for row in table.rows:
-        lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"

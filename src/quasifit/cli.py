@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from functools import cache
 from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
@@ -285,7 +286,9 @@ def cmd_convexity(sub: str, path: str, query: str | None) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(prog="quasifit")
     subs = parser.add_subparsers(dest="command", required=True)
 

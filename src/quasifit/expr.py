@@ -1,4 +1,4 @@
-"""Arithmetic expression trees: parsing, evaluation and printing.
+"""Arithmetic expression trees: parsing and evaluation.
 
 Target functions, basis functions and anything else the fitting pipeline
 evaluates pointwise are plain text expressions over named variables, so a
@@ -48,7 +48,6 @@ __all__ = [
     "parse",
     "evaluate",
     "power",
-    "to_source",
 ]
 
 
@@ -392,49 +391,3 @@ def power(base: float | np.ndarray, exponent: float) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         return np.float_power(np.asarray(base, dtype=float), float(exponent))
-
-
-_PREC_SUM = 0
-_PREC_PROD = 1
-_PREC_NEG = 2
-_PREC_POW = 3
-_PREC_ATOM = 4
-
-
-def _prec(expr: Expression) -> int:
-    if isinstance(expr, BinOp):
-        return _PREC_SUM if expr.op in "+-" else _PREC_PROD
-    if isinstance(expr, Neg):
-        return _PREC_NEG
-    if isinstance(expr, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def to_source(expr: Expression) -> str:
-    """Render to text that parses back to the identical tree."""
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = to_source(expr.arg)
-        if _prec(expr.arg) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(expr, BinOp):
-        me = _prec(expr)
-        left = to_source(expr.left)
-        if _prec(expr.left) < me:
-            left = f"({left})"
-        right = to_source(expr.right)
-        # parenthesize equal precedence on the right to keep left-associativity
-        if _prec(expr.right) <= me:
-            right = f"({right})"
-        return f"{left} {expr.op} {right}"
-    if isinstance(expr, Pow):
-        base = to_source(expr.base)
-        if _prec(expr.base) < _PREC_ATOM:
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
-    raise TypeError(f"not an expression node: {expr!r}")

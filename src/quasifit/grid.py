@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .expr import EvaluationError, Expression, _evaluator, _product
+from .floattext import WIDTH, repr_bytes
 
 __all__ = ["Grid", "SampledFunction", "enumerate_points", "evaluate_at", "sample", "export_csv", "write_csv"]
 
@@ -151,49 +151,50 @@ def evaluate_at(fs: Sequence[Expression], variables: Sequence[str], points: np.n
 
 
 def export_csv(sf: SampledFunction, out: TextIO) -> None:
-    """One row per point, columns x1..xd,f."""
+    """One row per point, columns x1..xd,f, each cell `repr`'s text of its value (see `write_csv`)."""
     write_csv(out, sf.points, {"f": sf.values})
 
 
 def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]) -> None:
     """One row per point: coordinates x1..xd, then the named value columns.
 
-    Each cell is the `repr` of the value as a Python float, so `float(cell)`
-    gives back the exact double.  Each cell is formatted once, but when the
-    points enumerate a Cartesian product, as a grid's do (`expr._product`),
-    each value of an axis is formatted once and its text repeated in product
-    order.  Rows are written in blocks of `_CSV_BLOCK_ROWS`, and every
-    temporary holds a block or an axis, never a whole column.
+    Each cell holds the bytes of `repr` of the value as a Python float, so
+    `float(cell)` gives back the exact double.  `floattext.repr_bytes`
+    computes them in numpy, with Schubfach's shortest digits (Giulietti,
+    2020).  Rows go out in blocks of `_CSV_BLOCK_ROWS`, and each block's
+    cells are formatted in one call.  When the points enumerate a Cartesian
+    product, as a grid's do (`expr._product`), each axis value is formatted
+    once, in the first block's call, and each block gathers the axis texts
+    by row index.  A block's texts sit in fixed-width slots, each ending in
+    its separator, and one boolean compress drops the padding, so the block
+    is written as one string and every temporary holds a block or an axis,
+    never a whole column.
     """
     names = [f"x{i + 1}" for i in range(points.shape[1])]
     out.write(",".join(names + list(columns)) + "\n")
     n = points.shape[0]
     axes, counts = _product(dict(zip(names, np.asarray(points, dtype=float).T)), n)
     # an axis smaller than the column repeats its values; off a product every axis is a whole column
-    cells = [
-        _repeated(a, math.prod(counts[k + 1 :]), math.prod(counts[:k])) if a.size < n else _formatted(a.reshape(-1))
-        for k, a in enumerate(axes.values())
-    ]
-    cells += [_formatted(np.asarray(col, dtype=float)) for col in columns.values()]
-    for _ in range(0, n, _CSV_BLOCK_ROWS):
-        # two writes: `... + "\n"` copies the block once more, and with that
-        # copy the coarse-to-fine benchmark's peak RSS reached 60 MB in some
-        # checkouts (glibc heap fragmentation), against 56.4-57.4 MB without
-        out.write("\n".join(map(",".join, zip(*[islice(c, _CSV_BLOCK_ROWS) for c in cells]))))
-        out.write("\n")
-
-
-def _formatted(column: np.ndarray) -> Iterator[str]:
-    """The text of each value of a column, formatted a whole block at a time:
-    formatting each cell only as the row is joined took about 10 % longer."""
-    return chain.from_iterable(
-        list(map(repr, column[start : start + _CSV_BLOCK_ROWS].tolist()))
-        for start in range(0, column.size, _CSV_BLOCK_ROWS)
-    )
-
-
-def _repeated(axis: np.ndarray, run: int, outer: int) -> Iterator[str]:
-    """A product's column: each axis value's text `run` times over, the whole axis `outer` times over."""
-    cells = chain.from_iterable(repeat(list(map(repr, axis.ravel().tolist())), outer))
-    # a repeat object per run of equal cells: on the fastest axis, that would be one per cell
-    return cells if run == 1 else chain.from_iterable(map(repeat, cells, repeat(run)))
+    repeated = [(j, a.reshape(-1), math.prod(counts[j + 1 :])) for j, a in enumerate(axes.values()) if a.size < n]
+    whole = [(j, a.reshape(-1)) for j, a in enumerate(axes.values()) if a.size == n]
+    whole += [(len(names) + j, np.asarray(c, dtype=float)) for j, c in enumerate(columns.values())]
+    slots = np.zeros((min(n, _CSV_BLOCK_ROWS), len(names) + len(columns), WIDTH + 1), np.uint8)
+    slots[:, :, WIDTH] = ord(",")
+    slots[:, -1, WIDTH] = ord("\n")
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        rows = min(n - start, _CSV_BLOCK_ROWS)
+        cells = [c[start : start + rows] for _, c in whole]
+        if start == 0:  # the axes' values go into the first block's call
+            cells += [a for _, a, _ in repeated]
+        texts = repr_bytes(np.concatenate(cells))[0]
+        if start == 0:
+            axis_texts = texts[rows * len(whole) :].copy()
+        block = slots[:rows]
+        for i, (j, _) in enumerate(whole):
+            block[:, j, :WIDTH] = texts[i * rows : (i + 1) * rows]
+        # divmod and > rather than // and !=: loops the fits have already run (see floattext)
+        index, offset = np.arange(start, start + rows), 0
+        for j, a, run in repeated:
+            block[:, j, :WIDTH] = axis_texts.take(offset + np.divmod(index, run)[0] % a.size, axis=0)
+            offset += a.size
+        out.write(str(block[block > 0], "ascii"))

@@ -15,8 +15,6 @@ from quasifit.axiomatic import (
     caratheodory_number,
     convexity_extension,
     family_over_rows,
-    family_to_text,
-    function_table_to_csv,
     hull,
     indicator_lift,
     is_closure_space,
@@ -30,6 +28,8 @@ from quasifit.axiomatic import (
     sup_of_rows,
     support_set,
 )
+
+from printers import family_to_text, function_table_to_csv
 
 
 def fam(n, members):

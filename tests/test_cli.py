@@ -671,6 +671,17 @@ def test_convexity_takes_exactly_one_file(tmp_path):
     assert exc.value.code == 2
 
 
+def test_main_reuses_one_parser_across_calls(tmp_path):
+    # a parse error must leave the shared parser usable for the next call
+    family = tmp_path / "f.txt"
+    family.write_text("ground: a\n{}\na\n")
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit):
+        cli.main(["convexity", "check", str(family), str(family)])
+    assert cli.main(["convexity", "check", str(family)]) == 0
+    assert cli.build_parser() is parser
+
+
 def test_convexity_hull_requires_set(tmp_path):
     family = tmp_path / "f.txt"
     family.write_text("ground: a\n{}\na\n")

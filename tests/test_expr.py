@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import quasifit
 
@@ -25,8 +25,9 @@ from quasifit.expr import (
     evaluate,
     parse,
     power,
-    to_source,
 )
+
+from printers import to_source
 
 
 def test_parse_quartic_composite():
@@ -249,6 +250,22 @@ def test_grid_evaluation_matches_naive_recursion_per_point(data, columns):
     got = evaluate(e, columns)
     assert isinstance(got, np.ndarray) and got.shape == (len(points),)
     assert all(_same_float(g, _naive_eval(e, env)) for g, env in zip(got.tolist(), points))
+
+
+@given(st.data(), _grid_columns())
+def test_a_term_failing_at_a_later_point_does_not_name_it(data, columns):
+    # 1/(v - a_j) + 1/(v - a_i), with i < j the first points that hold a_i != a_j:
+    # the first term fails first in evaluation order, but at the later point
+    name = data.draw(st.sampled_from(sorted(columns)))
+    values = columns[name].tolist()
+    firsts = [k for k, value in enumerate(values) if value not in values[:k]]
+    assume(len(firsts) >= 2)
+    i, j = sorted(data.draw(st.lists(st.sampled_from(firsts), min_size=2, max_size=2, unique=True)))
+    v = Var(name)
+    terms = [BinOp("/", Const(1.0), BinOp("-", v, Const(values[k]))) for k in (j, i)]
+    with pytest.raises(EvaluationError, match="^division by zero$") as err:
+        evaluate(BinOp("+", *terms), columns)
+    assert err.value.index == i
 
 
 def test_array_evaluation_errors_name_the_first_failing_index():
