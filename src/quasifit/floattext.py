@@ -15,19 +15,30 @@ to odd.  That is exact enough to decide which of s = floor(v * 10**-k) and
 s + 1, or which multiple of ten near them, lies in the interval, and so
 gives the shortest digits without a loop.  Here every step is a numpy
 operation on 64-bit integer arrays; the 128 x 64-bit products run on
-30-bit limbs.  The layout works on each text as three little-endian 64-bit
-words and moves bytes by shifts.
+30-bit limbs, the interval's three points as one (3, m) array.
+
+The layout is a table.  A text's shape is fixed by its class: its sign, its
+count of significant digits, and where its decimal point goes or which
+exponent form it takes (a special value is a class of its own).  Each row of
+a scratch array holds the 17 digits in ASCII, from a table of 4-digit
+groups, and an exponent's text after the last significant digit.  One
+25-byte window per row is read from it, at an offset the class gives; byte
+i of the text is then a literal, or byte i + 1 of the window (a digit before
+the point), or byte i (a digit after it, one place further on), as the
+class's row of the layout table says.
 
 Only integer operations are used, so the bytes do not depend on the
 floating-point loops a host's numpy happens to dispatch.  They run on
 int64 arrays of non-negative values, so that right shifts are logical, and
 a shift that drops set bits runs on a uint64 view, where it wraps as C's
 unsigned shifts do.  They keep to shifts, additions, multiplications,
-`divmod`, comparisons, `minimum`, `maximum`, `where` and `take`, which the
-fits that run before a CSV is written use too: the first call of any
-other kind of numpy loop maps its machine code into the process's
+`divmod`, comparisons, `minimum`, `maximum`, `where`, `take` and indexing,
+which the fits that run before a CSV is written use too: the first call of
+any other kind of numpy loop maps its machine code into the process's
 resident memory (`searchsorted` about 0.3 MB; a bitwise and, or a floor
-division, 64 KB each).
+division, 64 KB each).  The one exception is the layout's multiplication
+of uint8 planes by windows, 64 KB of code; a masked `np.copyto` in its
+place runs 40 times slower.
 """
 
 from __future__ import annotations
@@ -42,21 +53,40 @@ __all__ = ["WIDTH", "repr_bytes"]
 WIDTH = 24  # the longest text: sign, 17 digits, point and "e-308"
 
 _ONE = np.float64(1.0).view(np.int64)
+_INF = np.float64(np.inf).view(np.int64)
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
-_ZEROS = int.from_bytes(b"0" * 8, "little")
-_PAIRS = np.array([int.from_bytes(f"{i:02d}".encode(), "little") for i in range(100)], dtype=np.int64)
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+_PLACES = np.arange(0, 16, 4)[:, None]  # the digits before each of the four groups, less the first
 # x // 10**p == x * factor >> shift for 0 <= x < 2**30 (Granlund and Montgomery, PLDI 1994)
-_RECIPROCALS = {p: (-(-(1 << 30 + (10**p).bit_length()) // 10**p), 30 + (10**p).bit_length()) for p in (1, 2, 4, 8)}
+_RECIPROCALS = {p: (-(-(1 << 30 + (10**p).bit_length()) // 10**p), 30 + (10**p).bit_length()) for p in (4, 8)}
 # g(e) for e in [-292, 324] covers 10**-k for every k of a finite double
 _G_MIN, _G_MAX = -292, 324
-# scientific exponents e-324 .. e+308, then an empty entry for the plain layout
-_E_MIN, _E_MAX = -324, 308
+# a finite double is 0.DIGITS * 10**point with point in [-323, 309]
+_POINT_MIN, _POINT_MAX = -323, 309
+# forms 0..19: plain, the point at -3..16; 20 and 21: scientific, with a 2- and a 3-digit exponent
+_FORMS = 22
+_NEGATIVE = 18 * _FORMS  # classes: sign * _NEGATIVE + digits * _FORMS + form, then the special values
+_SPECIAL = 2 * _NEGATIVE  # 0.0, -0.0, inf, -inf, nan
+# a scratch row: the first digit at byte 7, then four 4-digit groups at bytes 8..23 (4-byte aligned),
+# then room for an exponent word written after the last significant digit
+_FIRST, _ROW = 7, 32
+_A, _B = 1, 2  # layout codes: a digit before the point, a digit after it
+# byte maps from a layout to its planes: literals (codes to 0), and 1 at each code of one kind
+_LITERAL = bytes(i if i > _B else 0 for i in range(256))
+_BEFORE, _AFTER = (bytes(int(i == code) for i in range(256)) for code in (_A, _B))
 
 
 class _Tables(NamedTuple):
     g: np.ndarray  # (5, 617) int64: 30-bit limbs of g(e), least significant first
-    exponent: np.ndarray  # (634,) int64: "e+XX" text as a little-endian word
-    exponent_length: np.ndarray  # (634,) int64
+    form: np.ndarray  # (633,) int64: the form of each point
+    exponent: np.ndarray  # (633,) int64: the exponent's text ("e+XX") as a little-endian word, 0 when plain
+    groups: np.ndarray  # (10000,) uint32: "dddd" for each 4-digit group
+    digits: np.ndarray  # (10000,) int64: 5 less the trailing zeros of each group, -11 for 0000
+    literal: np.ndarray  # (classes, 25) uint8: each text byte's literal, 0 at a digit
+    before: np.ndarray  # (classes, 25) uint8: 1 at a digit before the point (or of an exponent, with one digit)
+    after: np.ndarray  # (classes, 25) uint8: 1 at a digit after the point (or of an exponent)
+    start: np.ndarray  # (classes,) int64: where the class's window starts in a scratch row
+    length: np.ndarray  # (classes,) int64
 
 
 @cache
@@ -68,12 +98,53 @@ def _tables() -> _Tables:
         r = 127 - ((e * 1741647) >> 19)
         v = (10 ** max(e, 0) << max(r, 0)) // (10 ** max(-e, 0) << max(-r, 0)) + 1
         g[:, j] = [(v >> (30 * i)) % (1 << 30) for i in range(5)]
-    texts = [f"e{x:+03d}".encode() for x in range(_E_MIN, _E_MAX + 1)] + [b""]
+    points = range(_POINT_MIN, _POINT_MAX + 1)
+    plain = [-3 <= p <= 16 for p in points]
+    # each 4-digit group's digits, most significant first, and how many of its last places are 0
+    group, places, zeros = np.arange(10_000), np.empty((10_000, 4), np.uint8), np.zeros(10_000, np.int64)
+    for j in range(4):
+        places[:, 3 - j] = _DIGITS.take(np.divmod(np.divmod(group, 10**j)[0], 10)[1])
+        zeros += np.where(np.divmod(group, 10 ** (j + 1))[1] == 0, 1, 0)
+    texts = [_code(sign, n, form) for sign in (0, 1) for n in range(18) for form in range(_FORMS)]
+    texts += [(b"0.0", 0), (b"-0.0", 0), (b"inf", 0), (b"-inf", 0), (b"nan", 0)]
+    # each text byte's literal, whether it is a digit before the point, and whether after it;
+    # a 25th byte, always 0, lines the planes up with the 25-byte windows
+    planes = np.zeros((3, len(texts), WIDTH + 1), np.uint8)
+    for j, (code, _) in enumerate(texts):
+        for plane, keep in zip(planes, (_LITERAL, _BEFORE, _AFTER)):
+            plane[j, : len(code)] = np.frombuffer(code.translate(keep), np.uint8)
     return _Tables(
         g,
-        np.array([int.from_bytes(t, "little") for t in texts], dtype=np.int64),
-        np.array([len(t) for t in texts], dtype=np.int64),
+        np.array([p + 3 if fits else 20 + (abs(p - 1) >= 100) for p, fits in zip(points, plain)], np.int64),
+        np.array([0 if fits else int.from_bytes(f"e{p - 1:+03d}".encode(), "little") for p, fits in zip(points, plain)],
+                 np.int64),
+        places.view("<u4").reshape(-1),
+        np.where(zeros < 4, 5 - zeros, -11),
+        *planes,
+        np.array([start for _, start in texts], np.int64),
+        np.array([len(code) for code, _ in texts], np.int64),
     )
+
+
+def _code(sign: int, n: int, form: int) -> tuple[bytes, int]:
+    """The layout of a text with `n` significant digits, and where its window starts.
+
+    `_A` stands for the next digit before the point, read at the text's own
+    byte of the window, which starts one byte before it; `_B` for one after
+    the point, read a byte further back.  An exponent is read as a digit."""
+    a, b = bytes([_A]), bytes([_B])
+    if form < 20:
+        point = form - 3
+        if point <= 0:  # 0.000ddd
+            text = b"0." + b"0" * -point + a * n
+        elif point < n:
+            text = a * point + b"." + b * (n - point)
+        else:  # integral: ddd000.0
+            text = a * n + b"0" * (point - n) + b".0"
+    else:  # d.ddde-05, or de-05 for one digit
+        text = a + (b"." + b * (n - 1) + b * (4 + form - 20) if n > 1 else a * (4 + form - 20))
+    lead = sign + max(text.find(a), 0)  # the bytes before the first digit
+    return b"-" * sign + text, _FIRST - lead - 1
 
 
 def repr_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,29 +156,20 @@ def repr_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     negative zero reads `-0.0`.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
+    if not bits.size:
+        return np.zeros((0, WIDTH), np.uint8), np.zeros(0, np.int64)
     magnitude = (bits.view(np.uint64) << 1 >> 1).view(np.int64)
-    biased = magnitude >> 52
-    fraction = magnitude - (biased << 52)
-    zero = magnitude == 0
-    nonfinite = biased == 0x7FF
-    nan = nonfinite & (fraction != 0)
-    negative = (bits < 0) & ~nan
-    special = zero | nonfinite
-    # a special value's text is fixed; 1.0 stands in for it in the arithmetic
-    words, length = _layout(*_shortest(np.where(special, _ONE, magnitude)))
+    negative = bits < 0
+    special = (magnitude == 0) | (magnitude >= _INF)
     if special.any():
-        words[:, special] = 0
-        words[0, special] = np.where(zero[special], _word(b"0.0"), np.where(nan[special], _word(b"nan"), _word(b"inf")))
-        length[special] = 3
-    sign = np.where(negative, 1, 0)
-    _shift(words, sign)
-    words[0] += sign * ord("-")
-    length += sign
-    return np.ascontiguousarray(words.T, dtype="<i8").view(np.uint8), length
-
-
-def _word(text: bytes) -> int:
-    return int.from_bytes(text, "little")
+        # a special value's text is fixed; 1.0 stands in for it in the arithmetic
+        kind = np.where(magnitude == 0, _SPECIAL, np.where(magnitude == _INF, _SPECIAL + 2, _SPECIAL + 4))
+        kind += np.where(negative & (magnitude <= _INF), 1, 0)
+        magnitude = np.where(special, _ONE, magnitude)
+    scratch, cls, n, point = _digits(*_shortest(magnitude), np.where(negative, _NEGATIVE, 0))
+    if special.any():
+        cls = np.where(special, kind, cls)
+    return _layout(scratch, cls, n, point)
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,12 +195,9 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h >>= 19
     h += q
     h += 1
-    del q, closer
-    index = -_G_MIN - k  # of g(-k)
-    for row in x:
-        row <<= h
-        _round_to_odd(index, row)
-    del h, index
+    x <<= h
+    del q, closer, h
+    _round_to_odd(-_G_MIN - k, x)  # g(-k)
     lower, v, upper = x
     odd = c - (c >> 1 << 1)  # the interval's ends round to the double only when c is even
     lower += odd
@@ -158,67 +217,67 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u_in = lower <= t
     t += 4
     w_in = t <= upper
-    t -= 2
-    up = (v > t) | ((v == t) & (s - (s >> 1 << 1) == 1))
-    up = np.where(u_in != w_in, w_in, up)
+    t -= 2  # the midpoint
+    v += s - (s >> 1 << 1)  # at the midpoint, an odd s goes up
+    up = np.where(u_in != w_in, w_in, v > t)
     del x, lower, v, upper, t, u_in, w_in
-    d = np.where(shorter, np.where(wp_in, tens + 1, tens), np.where(up, s + 1, s))
-    return d, np.where(shorter, k + 1, k)
+    d = np.where(shorter, tens, s)
+    d += np.where(np.where(shorter, wp_in, up), 1, 0)
+    k += np.where(shorter, 1, 0)
+    return d, k
 
 
 def _round_to_odd(index: np.ndarray, x: np.ndarray) -> None:
-    """x becomes the top 64 bits of each 192-bit product g(e) * x, with e
-    read from `index`, with its last bit set when the middle 64 bits exceed 1.
+    """Each row of the (3, m) x becomes the top 64 bits of the 192-bit
+    products g(e) * x, with e read from `index`, with its last bit set when
+    the middle 64 bits exceed 1.
 
     g(e) has five 30-bit limbs, and x, below 2**60, is split into two here.
-    Each 30-bit column of the product sums two limb products below 2**60
-    and the carry, so nothing wraps."""
-    g = _tables().g
+    Column i of the product, bits 30i on, sums two limb products below
+    2**60 and the carry from column i - 1, so nothing wraps; the top word,
+    below 2**60, is column 4 from bit 8 on plus the last product."""
+    g = _tables().g.take(index, axis=1)
     high = x >> 30
-    product = high << 30
-    x -= product
-    below = g[0].take(index)
-    carry = below * x
+    part = high << 30
+    x -= part  # the low limb
+    carry = g[0] * x
     carry >>= 30
     column = np.empty_like(x)
-    for i in range(1, 6):
-        np.multiply(below, high, out=product)
-        if i < 5:
-            below = g[i].take(index)
-            np.multiply(below, x, out=column)
-            column += carry
-        else:
-            column, carry = carry, column
-        column += product
-        if i < 5:
+    for i in range(1, 5):
+        np.multiply(g[i], x, out=column)
+        column += carry
+        np.multiply(g[i - 1], high, out=part)
+        column += part
+        if i < 4:
             np.right_shift(column, 30, out=carry)
-            np.left_shift(carry, 30, out=product)
-            column -= product  # this column's 30 bits
+        if i == 2 or i == 3:
+            np.left_shift(carry, 30, out=part)
+            column -= part  # this column's 30 bits
         if i == 2:  # bits 60..89: the middle word's bits from 65 on
             sticky = column >> 5
         elif i == 3:  # bits 90..119
             sticky += column
-        elif i == 4:  # bits 120..149: the middle word's last 8, the top word's first 22
-            np.right_shift(column, 8, out=x)
-            sticky += column
-            np.left_shift(x, 8, out=product)
-            sticky -= product
-    # the last column, bits 150 on
-    column <<= 22
-    x += column
-    # round to odd: the last bit set when anything below the top word is
-    np.right_shift(x, 1, out=product)
-    product <<= 1
-    x -= product  # the last bit
+    # column 4, bits 120 on: the middle word's last 8 bits, then the top word
+    np.right_shift(column, 8, out=x)
+    sticky += column
+    np.left_shift(x, 8, out=part)
+    sticky -= part
+    np.multiply(g[4], high, out=part)
+    part <<= 22
+    x += part
+    # round to odd: the last bit set when anything of the middle word from bit 65 on is
+    np.right_shift(x, 1, out=part)
+    part <<= 1
     np.minimum(sticky, 1, out=sticky)
-    np.maximum(x, sticky, out=x)
-    x += product
+    part += sticky
+    np.maximum(x, part, out=x)
 
 
-def _layout(d: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The text of each positive d * 10**k, given k, as (3, m) little-endian
-    words, zero after the text, and its length: `repr`'s rules without the
-    sign.  Both arguments are overwritten."""
+def _digits(d: np.ndarray, point: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each positive d * 10**k, given k, as a scratch row holding its 17
+    digits in ASCII, padded with zeros, from byte `_FIRST` on; with its
+    class (`cls` holds its sign's part), its count of significant digits
+    and its point's index into the tables.  The arguments are overwritten."""
     # the digits of d: 15 to 17 for a normal double; a subnormal one's by a
     # binary search over the powers of ten
     n = np.where(d >= 10**16, 17, np.where(d >= 10**15, 16, 15))
@@ -231,109 +290,62 @@ def _layout(d: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             count = np.where(small >= _POW10.take(candidate - 1), candidate, count)
         n[few] = count
     point += n  # the value is 0.DIGITS * 10**point
-    # the digits padded to 17 with zeros: 8 in top, 9 in rest
+    point -= _POINT_MIN
     d *= _POW10.take(17 - n)
-    top, rest = np.divmod(d, 10**9)
-    del d
-    # the significant digits: 17 less the padded string's trailing zeros
-    tail = rest == 0
-    n = np.where(tail, 8, 17)
-    value = np.where(tail, top, rest)
-    for p in (8, 4, 2, 1):
-        cut = _quotient(value, p)
-        strip = cut * 10**p == value
-        value = np.where(strip, cut, value)
-        n = np.where(strip, n - p, n)
-    del tail, value, cut, strip
-    scientific = (point < -3) | (point > 16)
-    # 0.000ddd: up to four zeros in front
-    zeros = np.where(scientific, 0, np.maximum(1 - point, 0))
-    # the point: after the first digit in scientific form (none for one digit), else after the integer part
-    dot = np.where(scientific, np.where(n > 1, 1, WIDTH), np.maximum(point, 1))
-    length = np.where(scientific, n + np.minimum(n - 1, 1), np.maximum(n + zeros, dot + 1) + 1)
-    exponent = np.where(scientific, point - 1 - _E_MIN, _E_MAX - _E_MIN + 1)
-    del scientific, point, n
-    # the 17 digits in ASCII in bytes 0..16, then '0's
-    words = np.empty((3, top.size), np.int64)
-    _ascii8(top, words[0])
-    del top
-    middle = _quotient(rest, 1)
-    _ascii8(middle, words[1])
-    np.subtract(rest, middle * 10, out=words[2])
-    words[2] += _ZEROS
-    del middle, rest
-    _shift(words, zeros)
-    words[0] += _low(np.full(zeros.size, _ZEROS), zeros << 3)
-    del zeros
-    # the bytes from the point on move up one place, the top word first, while the one below is unchanged
-    for w in (2, 1, 0):
-        moved = _low(words[w], 56) << 8
-        if w:
-            moved += words[w - 1] >> 56
-        before, through = _bits_below(dot, w), _bits_below(dot + 1, w)
-        words[w] = _low(words[w], before)
-        words[w] += moved >> through << through
-        words[w] += np.where(through > before, np.left_shift(ord("."), before), 0)
-    del dot, moved, before, through
-    for w in range(3):
-        words[w] = _low(words[w], _bits_below(length, w))
+    high, low = np.divmod(d, 10**8)
+    del d, n
+    first = _quotient(high, 8)
+    high -= first * 10**8
+    # the 16 digits after the first as four groups of four
+    groups = np.empty((4, high.size), np.int64)
+    _quotient(high, 4, out=groups[0])
+    np.subtract(high, groups[0] * 10**4, out=groups[1])
+    _quotient(low, 4, out=groups[2])
+    np.subtract(low, groups[2] * 10**4, out=groups[3])
+    del high, low
     tables = _tables()
-    _place(words, tables.exponent.take(exponent), length)
-    length += tables.exponent_length.take(exponent)
-    return words, length
+    scratch = np.empty((first.size, _ROW), np.uint8)
+    scratch[:, _FIRST] = _DIGITS.take(first)
+    scratch[:, _FIRST + 1 : _FIRST + 17].view("<u4")[...] = tables.groups.take(groups).T
+    # the significant digits: the last group that is not 0000 says how many; when all are, the
+    # first digit alone (a 0000 group's count is 1 at most)
+    counts = tables.digits.take(groups)
+    counts += _PLACES
+    n = np.maximum(np.maximum(counts[0], counts[1]), np.maximum(counts[2], counts[3]))
+    cls += n * _FORMS
+    cls += tables.form.take(point)
+    return scratch, cls, n, point
 
 
-def _ascii8(x: np.ndarray, out: np.ndarray) -> None:
-    """out becomes the eight decimal digits of each x < 10**8 in ASCII, most significant in the lowest byte."""
-    high = _quotient(x, 4)
-    low = x - high * 10_000
-    out[...] = 0
-    for part, at in ((high, 0), (low, 32)):
-        tens = _quotient(part, 2)
-        out += _PAIRS.take(tens) << at
-        part -= tens * 100
-        out += _PAIRS.take(part) << at + 16
+def _layout(scratch: np.ndarray, cls: np.ndarray, n: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The texts as the layout table puts them together from each class's
+    window of its scratch row, and their lengths."""
+    tables = _tables()
+    rows = np.arange(0, scratch.size, _ROW)
+    exponent = tables.exponent.take(point)
+    if exponent.max() > 0:  # after the last significant digit, as a little-endian word
+        words = np.ndarray((scratch.size - 7,), "<i8", scratch, strides=(1,))
+        words[rows + _FIRST + n] = exponent
+    del exponent
+    rows += tables.start.take(cls)
+    # indexing, not `take`, which would copy the overlapping windows out whole first
+    window = np.ndarray((scratch.size - WIDTH, WIDTH + 1), np.uint8, scratch, strides=(1, 1))[rows]
+    del scratch, rows
+    # each plane and the windows as one flat array, so that every operation runs over one contiguous loop
+    window = window.reshape(-1)
+    text = tables.before.take(cls, axis=0).reshape(-1)
+    text[:-1] *= window[1:]
+    after = tables.after.take(cls, axis=0).reshape(-1)
+    after *= window
+    text += after
+    del window, after
+    text += tables.literal.take(cls, axis=0).reshape(-1)
+    return text.reshape(-1, WIDTH + 1)[:, :WIDTH], tables.length.take(cls)
 
 
-def _quotient(x: np.ndarray, p: int) -> np.ndarray:
+def _quotient(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """x // 10**p for each 0 <= x < 2**30, by one multiplication and a shift."""
     factor, shift = _RECIPROCALS[p]
-    return x * factor >> shift
-
-
-def _low(x: np.ndarray, bits) -> np.ndarray:
-    """The low `bits` (0..64) bits of each x >= 0, by shifts: no bitwise-and loop."""
-    return x - (x >> bits << bits)  # a shift by 64 gives 0
-
-
-def _bits_below(count: np.ndarray, word: int) -> np.ndarray:
-    """How many bits of each text's `word` (0..2) lie before byte `count`: 0..64."""
-    bits = np.maximum(count - 8 * word, 0)
-    np.minimum(bits, 8, out=bits)
-    bits <<= 3
-    return bits
-
-
-def _shift(words: np.ndarray, count: np.ndarray) -> None:
-    """Moves each text's bytes `count` (0..7) places up, zeros coming in at
-    byte 0 and the last bytes dropping out."""
-    words = words.view(np.uint64)
-    bits = (count << 3).view(np.uint64)
-    back = 64 - bits  # a shift by 64 gives 0
-    for w in (2, 1):
-        words[w] <<= bits
-        words[w] += words[w - 1] >> back
-    words[0] <<= bits
-
-
-def _place(words: np.ndarray, word: np.ndarray, at: np.ndarray) -> None:
-    """Adds each text's `word` to its words from byte `at` (0..18) on, where
-    they are zero; `word` has at most five bytes."""
-    bits = at % 8 << 3
-    index = at >> 3
-    low = _low(word, 64 - bits) << bits
-    word >>= 64 - bits
-    for w in range(3):
-        words[w] += np.where(index == w, low, 0)
-        if w:
-            words[w] += np.where(index == w - 1, word, 0)
+    out = np.multiply(x, factor, out=out)
+    out >>= shift
+    return out

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .expr import EvaluationError, Expression, _evaluator, _product
 from .floattext import WIDTH, repr_bytes
 
-__all__ = ["Grid", "SampledFunction", "enumerate_points", "evaluate_at", "sample", "export_csv", "write_csv"]
+__all__ = [
+    "Grid", "SampledFunction", "enumerate_points", "evaluate_at", "evaluate_columns", "sample", "export_csv",
+    "write_csv",
+]
 
 # rows per block of CSV output: every temporary of the writer has this many
 # rows, never a whole column
@@ -120,34 +123,45 @@ class SampledFunction:
 def sample(f: Expression, grid: Grid, variables: Sequence[str]) -> SampledFunction:
     """Evaluate `f` at every grid point, in enumeration order."""
     pts = enumerate_points(grid)
-    return SampledFunction(pts, evaluate_at([f], variables, pts)[:, 0], grid)
+    return SampledFunction(pts, next(evaluate_columns([f], variables, pts)), grid)
 
 
 def evaluate_at(fs: Sequence[Expression], variables: Sequence[str], points: np.ndarray) -> np.ndarray:
     """Each of `fs` at every row of an (N, d) point array: an (N, len(fs)) array, one column per expression.
 
+    The columns and their errors are `evaluate_columns`'s; one evaluated
+    column at a time is alive next to the result.
+    """
+    out = np.empty((points.shape[0], len(fs)))
+    for j, values in enumerate(evaluate_columns(fs, variables, points)):
+        out[:, j] = values
+    return out
+
+
+def evaluate_columns(fs: Sequence[Expression], variables: Sequence[str], points: np.ndarray) -> Iterator[np.ndarray]:
+    """Each of `fs` at every row of an (N, d) point array, in turn: a new (N,) array per expression.
+
     Variable k reads column k of the points, and the names must be distinct.
     The points' product is found once for all expressions.  An evaluation
     failure, or else a non-finite value, raises `EvaluationError` naming its
-    point, the first expression's before the second's.
+    point when its expression's turn comes, so the first expression's error
+    comes before the second's.
     """
     if len(set(variables)) != len(variables):
         raise ValueError(f"variable names must be distinct, got {list(variables)}")
     if len(variables) != points.shape[1]:
         raise ValueError(f"points have {points.shape[1]} coordinates, but the variables are {list(variables)}")
     evaluate_here = _evaluator(dict(zip(variables, points.T)))
-    # filled in place, so one evaluated column at a time is alive next to the result
-    out = np.empty((points.shape[0], len(fs)))
-    for j, f in enumerate(fs):
+    for f in fs:
         try:
-            out[:, j] = values = evaluate_here(f)
+            values = evaluate_here(f)
         except EvaluationError as exc:
             raise EvaluationError(f"{exc} at point {tuple(map(float, points[exc.index]))}", exc.index) from exc
         bad = ~np.isfinite(values)
         if bad.any():
             k = int(np.argmax(bad))
             raise EvaluationError(f"non-finite value {values[k]} at point {tuple(map(float, points[k]))}", k)
-    return out
+        yield values
 
 
 def export_csv(sf: SampledFunction, out: TextIO) -> None:
@@ -161,14 +175,15 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
     Each cell holds the bytes of `repr` of the value as a Python float, so
     `float(cell)` gives back the exact double.  `floattext.repr_bytes`
     computes them in numpy, with Schubfach's shortest digits (Giulietti,
-    2020).  Rows go out in blocks of `_CSV_BLOCK_ROWS`, and each block's
-    cells are formatted in one call.  When the points enumerate a Cartesian
-    product, as a grid's do (`expr._product`), each axis value is formatted
-    once, in the first block's call, and each block gathers the axis texts
-    by row index.  A block's texts sit in fixed-width slots, each ending in
-    its separator, and one boolean compress drops the padding, so the block
-    is written as one string and every temporary holds a block or an axis,
-    never a whole column.
+    2020) laid out from a table of text shapes.  Rows go out in blocks of
+    `_CSV_BLOCK_ROWS`, and each block's cells are formatted in one call.
+    When the points enumerate a Cartesian product, as a grid's do
+    (`expr._product`), each axis value is formatted once, in the first
+    block's call, and each block gathers the axis texts by row index.  A
+    block's texts sit in fixed-width slots, each ending in its separator,
+    and one boolean compress drops the padding, so the block is written as
+    one string and every temporary holds a block or an axis, never a whole
+    column.
     """
     names = [f"x{i + 1}" for i in range(points.shape[1])]
     out.write(",".join(names + list(columns)) + "\n")

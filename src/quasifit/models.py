@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expression, parse, power
-from .grid import evaluate_at
+from .grid import evaluate_at, evaluate_columns
 
 __all__ = [
     "BasisSpec",
@@ -197,26 +197,43 @@ def basis_matrix(basis: BasisSpec, variables: Sequence[str], points: np.ndarray)
     return evaluate_at(basis.functions, variables, np.atleast_2d(points))
 
 
-def _combine(mat: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
-    """mat @ coeffs summed column by column, so a row rounds alike in any batch."""
-    r = mat[:, 0] * coeffs[0]
-    for j in range(1, len(coeffs)):
-        r = r + mat[:, j] * coeffs[j]
-    return r
+def _combinations(terms: Sequence[tuple[BasisSpec, Sequence[float]]], variables: Sequence[str],
+                  points: np.ndarray) -> list[np.ndarray]:
+    """c . G(x) at every point for each basis G and its coefficients c.
+
+    Each basis column is scaled and added into its sum as it is evaluated,
+    so no (N, n) matrix is built; the sum runs column by column from the
+    first, so a row rounds alike in any batch.  Evaluation errors come in
+    the order of the functions, all of the first basis before the second.
+    """
+    columns = evaluate_columns([f for basis, _ in terms for f in basis.functions], variables, points)
+    sums = []
+    for _, coefficients in terms:
+        total = next(columns)
+        total *= coefficients[0]
+        for c in coefficients[1:]:
+            values = next(columns)
+            values *= c
+            total += values
+        sums.append(total)
+    return sums
 
 
 def evaluate_model_values(model: ModelClass, coeffs: Coefficients, points: np.ndarray) -> np.ndarray:
     """g(A, x) over an (N, d) point array; errors if the denominator dips below delta."""
     _check_shapes(model, coeffs)
     pts = np.atleast_2d(points)
-    r = _combine(basis_matrix(model.numerator, model.variables, pts), coeffs.numerator)
+    terms = [(model.numerator, coeffs.numerator)]
     if model.denominator is not None:
-        den = _combine(basis_matrix(model.denominator, model.variables, pts), coeffs.denominator)
+        terms.append((model.denominator, coeffs.denominator))
+    r, *rest = _combinations(terms, model.variables, pts)
+    if rest:
+        (den,) = rest
         bad = den < model.delta * (1.0 - 1e-9) - 1e-12
         if np.any(bad):
             k = int(np.argmax(bad))
             raise DenominatorPositivityError(pts[k], float(den[k]), model.delta)
-        r = r / den
+        r /= den
     return model.outer.forward(r)
 
 
@@ -230,8 +247,7 @@ def default_initial_coefficients(model: ModelClass, points: np.ndarray | None = 
     coeffs = model.coefficients_from_free([0.0] * len(model.coefficient_names()))
     if model.denominator is not None and points is not None:
         pts = np.atleast_2d(points)
-        hmat = basis_matrix(model.denominator, model.variables, pts)
-        den = _combine(hmat, coeffs.denominator)
+        (den,) = _combinations([(model.denominator, coeffs.denominator)], model.variables, pts)
         bad = den < model.delta
         if np.any(bad):
             raise InfeasibleInitialCoefficientsError(pts[bad])

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -410,27 +411,33 @@ def test_missing_config_key_is_named(tmp_path, capsys, path):
     assert json.loads(line)["error"] == {"kind": "config", "message": f"missing config key: {path[-1]!r}"}
 
 
-@pytest.mark.parametrize("model, calls", [
-    ({"outer": "identity", "numerator_basis": ["1", "x"]}, 2), (_RATIONAL_MODEL, 5),
+@pytest.mark.parametrize("model, uses", [
+    ({"outer": "identity", "numerator_basis": ["1", "x"]}, {"numerator_basis": 2}),
+    (_RATIONAL_MODEL, {"numerator_basis": 2, "denominator_basis": 3}),
 ], ids=["affine", "rational"])
-def test_fit_command_evaluates_the_bases_once_per_use(tmp_path, monkeypatch, model, calls):
-    # the default start's denominator, the level problem and the final values;
-    # u0 = max|f| needs none, and the surface no second evaluation
-    import quasifit.models
+def test_fit_command_evaluates_the_bases_once_per_use(tmp_path, monkeypatch, model, uses):
+    # the numerator in the level problem and the final values; the denominator
+    # also in the default start; the target once; u0 = max|f| needs none, and
+    # the surface no second evaluation
+    import quasifit.grid
 
-    counted = []
-    original = quasifit.models.basis_matrix
+    counted = Counter()
+    original = quasifit.grid.evaluate_columns
 
-    def counting(*args):
-        counted.append(args[0])
-        return original(*args)
+    def counting(fs, *args):
+        counted.update(fs)
+        return original(fs, *args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("quasifit") and getattr(module, "basis_matrix", None) is original:
-            monkeypatch.setattr(module, "basis_matrix", counting)
+        if name.startswith("quasifit") and getattr(module, "evaluate_columns", None) is original:
+            monkeypatch.setattr(module, "evaluate_columns", counting)
     path, _ = _write_config(tmp_path, target="x^3/(2-x)", model=model)
     assert cli.main(["fit", str(path)]) == 0
-    assert len(counted) == calls
+    expected = Counter({parse("x^3/(2-x)", ["x"]): 1})
+    for key, count in uses.items():
+        for source in model[key]:
+            expected[parse(source, ["x"])] += count
+    assert counted == expected
 
 
 def test_convexity_check_tests_closure_once(tmp_path, monkeypatch, capsys):

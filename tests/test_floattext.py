@@ -82,6 +82,33 @@ def test_decimal_and_integral_values_read_as_repr():
     _assert_repr(np.concatenate([*decimals, scaled, integers]))
 
 
+def _with_digits(rng, n, point):
+    """A double whose shortest text has n significant digits: 0.DIGITS * 10**point."""
+    while True:
+        digits = str(rng.integers(1, 10)) + "".join(map(str, rng.integers(0, 10, n - 1)))
+        digits = digits[:-1] + str(rng.integers(1, 10)) if n > 1 else digits
+        value = float(f"0.{digits}e{point}")
+        if repr(value).replace("-", "").replace(".", "").split("e")[0].strip("0") == digits:
+            return value
+
+
+def test_every_layout_class_reads_as_repr():
+    # each sign, significant-digit count and point position, and both exponent widths
+    rng = np.random.default_rng(23)
+    points = list(range(-3, 17)) + [-4, 17, -98, 100, -99, 101, -306, 308]
+    values = np.array([_with_digits(rng, n, point) for n in range(1, 18) for point in points])
+    forms = set()
+    for n, text in zip(np.repeat(np.arange(1, 18), len(points)).tolist(), map(repr, values.tolist())):
+        if "e" in text:
+            forms.add((n, "e", len(text.split("e")[1])))
+        elif text.startswith("0."):
+            forms.add((n, -(len(text) - len(text[2:].lstrip("0")) - 2)))
+        else:
+            forms.add((n, text.index(".")))
+    assert len(forms) == 17 * (20 + 2)  # point -3..16, then e+XX and e+XXX
+    _assert_repr(np.concatenate([values, -values]))
+
+
 @given(hnp.arrays(np.float64, st.integers(0, 200), elements=st.floats(width=64)))
 def test_any_array_reads_as_repr(values):
     _assert_repr(values)

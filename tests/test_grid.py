@@ -1,14 +1,20 @@
 import io
 import itertools
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quasifit.expr
+from quasifit import cli
 from quasifit.expr import EvaluationError, parse, power
-from quasifit.grid import Grid, SampledFunction, enumerate_points, evaluate_at, export_csv, sample, write_csv
+from quasifit.grid import (
+    Grid, SampledFunction, enumerate_points, evaluate_at, evaluate_columns, export_csv, sample, write_csv,
+)
+from quasifit.models import Coefficients, evaluate_model_values
 
 
 def test_unit_interval_step_tenth():
@@ -187,6 +193,19 @@ def test_evaluate_at_fills_one_column_per_expression():
     assert evaluate_at([], ["x", "y"], pts).shape == (2, 0)
 
 
+def test_evaluate_columns_yields_new_arrays_the_caller_may_overwrite():
+    # model values scale each column in place: a variable's column must not be the points' own
+    points = np.array([[1.0, 2.0], [3.0, -1.0], [3.0, 2.0]])
+    kept = points.copy()
+    fs = [parse(s, ["x", "y"]) for s in ("x", "y", "1", "x*y", "x")]
+    got = []
+    for values in evaluate_columns(fs, ["x", "y"], points):
+        got.append(values.tolist())
+        values *= -7.0
+    assert np.array_equal(points, kept)
+    assert got == [[1.0, 3.0, 3.0], [2.0, -1.0, 2.0], [1.0, 1.0, 1.0], [2.0, -3.0, 6.0], [1.0, 3.0, 3.0]]
+
+
 def test_evaluate_at_checks_each_expression_in_order():
     # the first expression's non-finite value is found before the second's division by zero
     fs = [parse("x * x", ["x"]), parse("1 / x", ["x"])]
@@ -328,6 +347,22 @@ def test_write_csv_holds_a_block_not_a_column():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_model_evaluation_holds_a_few_columns_not_the_basis_matrix():
+    # the affine benchmark model on 160,801 points: one column takes about 1.3 MB, its basis matrix 7.7 MB
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "benchmark_affine_cubed.json").read_text())
+    model, _target, grid = cli._build_model(config)
+    points = enumerate_points(Grid(grid.lower, grid.upper, (0.005, 0.005)))
+    coeffs = Coefficients((0.3, -1.1, 0.7, 2.3, -0.9, 1.7))
+    tracemalloc.start()
+    try:
+        values = evaluate_model_values(model, coeffs, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (160_801,)
+    assert peak < 6_500_000
 
 
 def test_write_csv_roundtrip_is_bit_exact():

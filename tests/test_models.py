@@ -162,6 +162,49 @@ def test_vectorized_evaluation_matches_pointwise():
         assert vec[k] == evaluate_model_values(m, coeffs, [pts[k]])[0]
 
 
+def _reference_values(model, coeffs, points):
+    """The model's values from whole basis matrices, summed column by column."""
+    def combine(mat, c):
+        r = mat[:, 0] * c[0]
+        for j in range(1, len(c)):
+            r = r + mat[:, j] * c[j]
+        return r
+
+    r = combine(basis_matrix(model.numerator, model.variables, points), coeffs.numerator)
+    if model.denominator is not None:
+        r = r / combine(basis_matrix(model.denominator, model.variables, points), coeffs.denominator)
+    return model.outer.forward(r)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["affine", "rational"])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["grid", "cloud"])
+def test_summed_evaluation_matches_the_basis_matrix_bit_for_bit(rational, shuffled):
+    numerator = _basis(["1", "x", "y", "x^2", "y^2", "x*y", "x^3 - y/3"], XY)
+    denominator = _basis(["1", "x*y", "y^2", "x^4"], XY) if rational else None
+    m = ModelClass(XY, MonotoneOuter.odd_power(3), numerator, denominator, (0, 1.0) if rational else None)
+    rng = np.random.default_rng(11)
+    coeffs = Coefficients(tuple(rng.standard_normal(7)), (1.0, 0.31, 0.27, -0.05) if rational else None)
+    points = enumerate_points(Grid((-1.0, -1.0), (1.0, 1.0), (0.02, 0.03)))
+    if shuffled:
+        points = rng.permutation(points)
+    got = evaluate_model_values(m, coeffs, points)
+    assert np.array_equal(got.view(np.int64), _reference_values(m, coeffs, points).view(np.int64))
+
+
+def test_numerator_errors_come_before_denominator_errors():
+    # the numerator fails at the later point 0.5, the denominator at -0.5: the numerator's is reported
+    numerator, denominator = _basis(["1", "1/(x - 0.5)"]), _basis(["1", "1/(x + 0.5)"])
+    m = ModelClass(("x",), MonotoneOuter.identity(), numerator, denominator, (0, 1.0))
+    points = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])
+    with pytest.raises(EvaluationError, match=r"^division by zero at point \(0\.5,\)$") as err:
+        evaluate_model_values(m, Coefficients((1.0, 1.0), (1.0, 1.0)), points)
+    assert err.value.index == 3
+    # and in order within a basis: the second numerator function's earlier failure does not win
+    m = ModelClass(("x",), MonotoneOuter.identity(), _basis(["1/(x - 0.5)", "1/(x + 0.5)"]))
+    with pytest.raises(EvaluationError, match=r"^division by zero at point \(0\.5,\)$"):
+        evaluate_model_values(m, Coefficients((1.0, 1.0)), points)
+
+
 def test_points_need_one_coordinate_per_variable():
     # a column without a name is refused, not dropped
     m = ModelClass(("x",), MonotoneOuter.identity(), _basis(["x"]))
