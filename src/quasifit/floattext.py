@@ -29,16 +29,7 @@ class's row of the layout table says.
 
 Only integer operations are used, so the bytes do not depend on the
 floating-point loops a host's numpy happens to dispatch.  They run on
-int64 arrays of non-negative values, so that right shifts are logical, and
-a shift that drops set bits runs on a uint64 view, where it wraps as C's
-unsigned shifts do.  They keep to shifts, additions, multiplications,
-`divmod`, comparisons, `minimum`, `maximum`, `where`, `take` and indexing,
-which the fits that run before a CSV is written use too: the first call of
-any other kind of numpy loop maps its machine code into the process's
-resident memory (`searchsorted` about 0.3 MB; a bitwise and, or a floor
-division, 64 KB each).  The one exception is the layout's multiplication
-of uint8 planes by windows, 64 KB of code; a masked `np.copyto` in its
-place runs 40 times slower.
+int64 arrays of non-negative values, so that right shifts are logical.
 """
 
 from __future__ import annotations
@@ -57,8 +48,8 @@ _INF = np.float64(np.inf).view(np.int64)
 _POW10 = 10 ** np.arange(18, dtype=np.int64)
 _DIGITS = np.frombuffer(b"0123456789", np.uint8)
 _PLACES = np.arange(0, 16, 4)[:, None]  # the digits before each of the four groups, less the first
-# x // 10**p == x * factor >> shift for 0 <= x < 2**30 (Granlund and Montgomery, PLDI 1994)
-_RECIPROCALS = {p: (-(-(1 << 30 + (10**p).bit_length()) // 10**p), 30 + (10**p).bit_length()) for p in (4, 8)}
+_GROUPS = 10 ** np.arange(12, -1, -4)[:, None]  # the place of each group's last digit, in a 17-digit d
+_LIMB = (1 << 30) - 1  # the low 30 bits: one limb
 # g(e) for e in [-292, 324] covers 10**-k for every k of a finite double
 _G_MIN, _G_MAX = -292, 324
 # a finite double is 0.DIGITS * 10**point with point in [-323, 309]
@@ -86,7 +77,6 @@ class _Tables(NamedTuple):
     before: np.ndarray  # (classes, 25) uint8: 1 at a digit before the point (or of an exponent, with one digit)
     after: np.ndarray  # (classes, 25) uint8: 1 at a digit after the point (or of an exponent)
     start: np.ndarray  # (classes,) int64: where the class's window starts in a scratch row
-    length: np.ndarray  # (classes,) int64
 
 
 @cache
@@ -103,8 +93,8 @@ def _tables() -> _Tables:
     # each 4-digit group's digits, most significant first, and how many of its last places are 0
     group, places, zeros = np.arange(10_000), np.empty((10_000, 4), np.uint8), np.zeros(10_000, np.int64)
     for j in range(4):
-        places[:, 3 - j] = _DIGITS.take(np.divmod(np.divmod(group, 10**j)[0], 10)[1])
-        zeros += np.where(np.divmod(group, 10 ** (j + 1))[1] == 0, 1, 0)
+        places[:, 3 - j] = _DIGITS.take(group // 10**j % 10)
+        zeros += group % 10 ** (j + 1) == 0
     texts = [_code(sign, n, form) for sign in (0, 1) for n in range(18) for form in range(_FORMS)]
     texts += [(b"0.0", 0), (b"-0.0", 0), (b"inf", 0), (b"-inf", 0), (b"nan", 0)]
     # each text byte's literal, whether it is a digit before the point, and whether after it;
@@ -122,7 +112,6 @@ def _tables() -> _Tables:
         np.where(zeros < 4, 5 - zeros, -11),
         *planes,
         np.array([start for _, start in texts], np.int64),
-        np.array([len(code) for code, _ in texts], np.int64),
     )
 
 
@@ -147,24 +136,24 @@ def _code(sign: int, n: int, form: int) -> tuple[bytes, int]:
     return b"-" * sign + text, _FIRST - lead - 1
 
 
-def repr_bytes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def repr_bytes(values: np.ndarray) -> np.ndarray:
     """The bytes of `repr(float(v))` for each element of `values`, in order.
 
-    Returns an (m, 24) uint8 array, zero after each text, and the (m,)
-    int64 lengths, for the m elements of `values` flattened.  Non-finite
+    Returns an (m, 24) uint8 array, one row per element of `values`
+    flattened: its text, then zeros (a text holds no zero byte).  Non-finite
     values read `inf`, `-inf` and `nan` (whatever the sign of a NaN), and
     negative zero reads `-0.0`.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.int64)
     if not bits.size:
-        return np.zeros((0, WIDTH), np.uint8), np.zeros(0, np.int64)
-    magnitude = (bits.view(np.uint64) << 1 >> 1).view(np.int64)
+        return np.zeros((0, WIDTH), np.uint8)
+    magnitude = bits & 0x7FFF_FFFF_FFFF_FFFF
     negative = bits < 0
     special = (magnitude == 0) | (magnitude >= _INF)
     if special.any():
         # a special value's text is fixed; 1.0 stands in for it in the arithmetic
         kind = np.where(magnitude == 0, _SPECIAL, np.where(magnitude == _INF, _SPECIAL + 2, _SPECIAL + 4))
-        kind += np.where(negative & (magnitude <= _INF), 1, 0)
+        kind += negative & (magnitude <= _INF)
         magnitude = np.where(special, _ONE, magnitude)
     scratch, cls, n, point = _digits(*_shortest(magnitude), np.where(negative, _NEGATIVE, 0))
     if special.any():
@@ -177,7 +166,7 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to each positive finite double, the nearest one on a tie of length
     (Giulietti, figures 4 and 6); d may end in zeros."""
     q = bits >> 52
-    c = bits - (q << 52)
+    c = bits & (1 << 52) - 1
     # at a power of two the gap below is half the gap above
     closer = (c == 0) & (q > 1)
     c += np.minimum(q, 1) << 52
@@ -189,7 +178,8 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the interval's ends and the double, scaled by 4 * 2**h, where h is 1..4
     x = np.empty((3, c.size), np.int64)
     np.left_shift(c, 2, out=x[1])
-    np.subtract(x[1], np.where(closer, 1, 2), out=x[0])
+    np.subtract(x[1], 2, out=x[0])
+    x[0] += closer
     np.add(x[1], 2, out=x[2])
     h = k * -1741647
     h >>= 19
@@ -199,13 +189,13 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     del q, closer, h
     _round_to_odd(-_G_MIN - k, x)  # g(-k)
     lower, v, upper = x
-    odd = c - (c >> 1 << 1)  # the interval's ends round to the double only when c is even
+    odd = c & 1  # the interval's ends round to the double only when c is even
     lower += odd
     upper -= odd
     del c, odd
     s = v >> 2
     # a multiple of ten in the interval has one digit less: 10 * tens or 10 * (tens + 1)
-    tens = np.divmod(s, 10)[0]
+    tens = s // 10
     t = tens * 40
     up_in = lower <= t
     t += 40
@@ -218,12 +208,12 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t += 4
     w_in = t <= upper
     t -= 2  # the midpoint
-    v += s - (s >> 1 << 1)  # at the midpoint, an odd s goes up
+    v += s & 1  # at the midpoint, an odd s goes up
     up = np.where(u_in != w_in, w_in, v > t)
     del x, lower, v, upper, t, u_in, w_in
     d = np.where(shorter, tens, s)
-    d += np.where(np.where(shorter, wp_in, up), 1, 0)
-    k += np.where(shorter, 1, 0)
+    d += np.where(shorter, wp_in, up)
+    k += shorter
     return d, k
 
 
@@ -238,11 +228,10 @@ def _round_to_odd(index: np.ndarray, x: np.ndarray) -> None:
     below 2**60, is column 4 from bit 8 on plus the last product."""
     g = _tables().g.take(index, axis=1)
     high = x >> 30
-    part = high << 30
-    x -= part  # the low limb
+    x &= _LIMB  # the low limb
     carry = g[0] * x
     carry >>= 30
-    column = np.empty_like(x)
+    column, part = np.empty_like(x), np.empty_like(x)
     for i in range(1, 5):
         np.multiply(g[i], x, out=column)
         column += carry
@@ -250,27 +239,17 @@ def _round_to_odd(index: np.ndarray, x: np.ndarray) -> None:
         column += part
         if i < 4:
             np.right_shift(column, 30, out=carry)
-        if i == 2 or i == 3:
-            np.left_shift(carry, 30, out=part)
-            column -= part  # this column's 30 bits
         if i == 2:  # bits 60..89: the middle word's bits from 65 on
-            sticky = column >> 5
+            sticky = (column & _LIMB) >> 5
         elif i == 3:  # bits 90..119
-            sticky += column
+            sticky += column & _LIMB
     # column 4, bits 120 on: the middle word's last 8 bits, then the top word
+    sticky += column & 0xFF
     np.right_shift(column, 8, out=x)
-    sticky += column
-    np.left_shift(x, 8, out=part)
-    sticky -= part
     np.multiply(g[4], high, out=part)
     part <<= 22
     x += part
-    # round to odd: the last bit set when anything of the middle word from bit 65 on is
-    np.right_shift(x, 1, out=part)
-    part <<= 1
-    np.minimum(sticky, 1, out=sticky)
-    part += sticky
-    np.maximum(x, part, out=x)
+    x |= sticky != 0  # round to odd: the last bit set when anything of the middle word from bit 65 on is
 
 
 def _digits(d: np.ndarray, point: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -280,7 +259,7 @@ def _digits(d: np.ndarray, point: np.ndarray, cls: np.ndarray) -> tuple[np.ndarr
     and its point's index into the tables.  The arguments are overwritten."""
     # the digits of d: 15 to 17 for a normal double; a subnormal one's by a
     # binary search over the powers of ten
-    n = np.where(d >= 10**16, 17, np.where(d >= 10**15, 16, 15))
+    n = 15 + (d >= 10**15) + (d >= 10**16)
     few = d < 10**14
     if few.any():
         small = d[few]
@@ -292,17 +271,9 @@ def _digits(d: np.ndarray, point: np.ndarray, cls: np.ndarray) -> tuple[np.ndarr
     point += n  # the value is 0.DIGITS * 10**point
     point -= _POINT_MIN
     d *= _POW10.take(17 - n)
-    high, low = np.divmod(d, 10**8)
+    first = d // 10**16
+    groups = d // _GROUPS % 10**4  # the 16 digits after the first as four groups of four
     del d, n
-    first = _quotient(high, 8)
-    high -= first * 10**8
-    # the 16 digits after the first as four groups of four
-    groups = np.empty((4, high.size), np.int64)
-    _quotient(high, 4, out=groups[0])
-    np.subtract(high, groups[0] * 10**4, out=groups[1])
-    _quotient(low, 4, out=groups[2])
-    np.subtract(low, groups[2] * 10**4, out=groups[3])
-    del high, low
     tables = _tables()
     scratch = np.empty((first.size, _ROW), np.uint8)
     scratch[:, _FIRST] = _DIGITS.take(first)
@@ -317,9 +288,9 @@ def _digits(d: np.ndarray, point: np.ndarray, cls: np.ndarray) -> tuple[np.ndarr
     return scratch, cls, n, point
 
 
-def _layout(scratch: np.ndarray, cls: np.ndarray, n: np.ndarray, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _layout(scratch: np.ndarray, cls: np.ndarray, n: np.ndarray, point: np.ndarray) -> np.ndarray:
     """The texts as the layout table puts them together from each class's
-    window of its scratch row, and their lengths."""
+    window of its scratch row."""
     tables = _tables()
     rows = np.arange(0, scratch.size, _ROW)
     exponent = tables.exponent.take(point)
@@ -340,12 +311,4 @@ def _layout(scratch: np.ndarray, cls: np.ndarray, n: np.ndarray, point: np.ndarr
     text += after
     del window, after
     text += tables.literal.take(cls, axis=0).reshape(-1)
-    return text.reshape(-1, WIDTH + 1)[:, :WIDTH], tables.length.take(cls)
-
-
-def _quotient(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x // 10**p for each 0 <= x < 2**30, by one multiplication and a shift."""
-    factor, shift = _RECIPROCALS[p]
-    out = np.multiply(x, factor, out=out)
-    out >>= shift
-    return out
+    return text.reshape(-1, WIDTH + 1)[:, :WIDTH]

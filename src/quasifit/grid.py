@@ -16,10 +16,7 @@ import numpy as np
 from .expr import EvaluationError, Expression, _evaluator, _product
 from .floattext import WIDTH, repr_bytes
 
-__all__ = [
-    "Grid", "SampledFunction", "enumerate_points", "evaluate_at", "evaluate_columns", "sample", "export_csv",
-    "write_csv",
-]
+__all__ = ["Grid", "SampledFunction", "enumerate_points", "evaluate_columns", "sample", "export_csv", "write_csv"]
 
 # rows per block of CSV output: every temporary of the writer has this many
 # rows, never a whole column
@@ -126,18 +123,6 @@ def sample(f: Expression, grid: Grid, variables: Sequence[str]) -> SampledFuncti
     return SampledFunction(pts, next(evaluate_columns([f], variables, pts)), grid)
 
 
-def evaluate_at(fs: Sequence[Expression], variables: Sequence[str], points: np.ndarray) -> np.ndarray:
-    """Each of `fs` at every row of an (N, d) point array: an (N, len(fs)) array, one column per expression.
-
-    The columns and their errors are `evaluate_columns`'s; one evaluated
-    column at a time is alive next to the result.
-    """
-    out = np.empty((points.shape[0], len(fs)))
-    for j, values in enumerate(evaluate_columns(fs, variables, points)):
-        out[:, j] = values
-    return out
-
-
 def evaluate_columns(fs: Sequence[Expression], variables: Sequence[str], points: np.ndarray) -> Iterator[np.ndarray]:
     """Each of `fs` at every row of an (N, d) point array, in turn: a new (N,) array per expression.
 
@@ -175,15 +160,15 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
     Each cell holds the bytes of `repr` of the value as a Python float, so
     `float(cell)` gives back the exact double.  `floattext.repr_bytes`
     computes them in numpy, with Schubfach's shortest digits (Giulietti,
-    2020) laid out from a table of text shapes.  Rows go out in blocks of
-    `_CSV_BLOCK_ROWS`, and each block's cells are formatted in one call.
+    2020), each text zero-padded to a fixed width.  Rows go out in blocks
+    of `_CSV_BLOCK_ROWS`, and each block's cells are formatted in one call.
     When the points enumerate a Cartesian product, as a grid's do
     (`expr._product`), each axis value is formatted once, in the first
-    block's call, and each block gathers the axis texts by row index.  A
-    block's texts sit in fixed-width slots, each ending in its separator,
-    and one boolean compress drops the padding, so the block is written as
-    one string and every temporary holds a block or an axis, never a whole
-    column.
+    block's call, and each block gathers the axis texts by row index; a
+    later block with no value columns formats nothing.  A block's texts
+    sit in fixed-width slots, each ending in its separator, and one boolean
+    compress drops the padding, so the block is written as one string and
+    every temporary holds a block or an axis, never a whole column.
     """
     names = [f"x{i + 1}" for i in range(points.shape[1])]
     out.write(",".join(names + list(columns)) + "\n")
@@ -201,15 +186,15 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
         cells = [c[start : start + rows] for _, c in whole]
         if start == 0:  # the axes' values go into the first block's call
             cells += [a for _, a, _ in repeated]
-        texts = repr_bytes(np.concatenate(cells))[0]
-        if start == 0:
-            axis_texts = texts[rows * len(whole) :].copy()
         block = slots[:rows]
-        for i, (j, _) in enumerate(whole):
-            block[:, j, :WIDTH] = texts[i * rows : (i + 1) * rows]
-        # divmod and > rather than // and !=: loops the fits have already run (see floattext)
+        if cells:  # a later block of a grid with no value columns has only axis texts
+            texts = repr_bytes(np.concatenate(cells))
+            for i, (j, _) in enumerate(whole):
+                block[:, j, :WIDTH] = texts[i * rows : (i + 1) * rows]
+            if start == 0:
+                axis_texts = texts[rows * len(whole) :].copy()
         index, offset = np.arange(start, start + rows), 0
         for j, a, run in repeated:
-            block[:, j, :WIDTH] = axis_texts.take(offset + np.divmod(index, run)[0] % a.size, axis=0)
+            block[:, j, :WIDTH] = axis_texts.take(offset + index // run % a.size, axis=0)
             offset += a.size
         out.write(str(block[block > 0], "ascii"))

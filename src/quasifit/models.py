@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import Expression, parse, power
-from .grid import evaluate_at, evaluate_columns
+from .grid import evaluate_columns
 
 __all__ = [
     "BasisSpec",
@@ -193,8 +193,16 @@ def _check_shapes(model: ModelClass, coeffs: Coefficients) -> None:
 
 
 def basis_matrix(basis: BasisSpec, variables: Sequence[str], points: np.ndarray) -> np.ndarray:
-    """Evaluate every basis function at every point: (N, len(basis)) array."""
-    return evaluate_at(basis.functions, variables, np.atleast_2d(points))
+    """Every basis function at every point: an (N, len(basis)) array, one column per function.
+
+    The columns and their errors are `grid.evaluate_columns`'s; one
+    evaluated column at a time is alive next to the result.
+    """
+    points = np.atleast_2d(points)
+    out = np.empty((points.shape[0], len(basis)))
+    for j, values in enumerate(evaluate_columns(basis.functions, variables, points)):
+        out[:, j] = values
+    return out
 
 
 def _combinations(terms: Sequence[tuple[BasisSpec, Sequence[float]]], variables: Sequence[str],

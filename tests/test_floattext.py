@@ -12,14 +12,19 @@ import quasifit
 from quasifit.floattext import WIDTH, repr_bytes
 
 
+def _lengths(text):
+    """Each row's text length, found from its zero padding, after checking
+    that no zero byte sits inside a text and nothing non-zero follows it."""
+    length = np.count_nonzero(text, axis=1)
+    assert np.array_equal(text != 0, np.arange(WIDTH) < length[:, None])
+    return length
+
+
 def _texts(values):
-    """Each text of `repr_bytes`, as str, after checking that nothing follows it."""
-    text, length = repr_bytes(values)
+    """Each text of `repr_bytes`, as str."""
+    text = repr_bytes(values)
     assert text.shape == (np.size(values), WIDTH) and text.dtype == np.uint8
-    assert length.shape == (np.size(values),)
-    past = np.arange(WIDTH) >= length[:, None]
-    assert not text[past].any()
-    return [bytes(row[:n]).decode("ascii") for row, n in zip(text, length.tolist())]
+    return [bytes(row[:n]).decode("ascii") for row, n in zip(text, _lengths(text).tolist())]
 
 
 def _assert_repr(values):
@@ -67,8 +72,8 @@ def test_a_million_bit_patterns_read_as_repr():
     values = bits.view(np.float64)
     for start in range(0, values.size, 1 << 16):
         chunk = values[start : start + (1 << 16)]
-        text, length = repr_bytes(chunk)
-        ends = np.arange(WIDTH + 1) == length[:, None]
+        text = repr_bytes(chunk)
+        ends = np.arange(WIDTH + 1) == _lengths(text)[:, None]
         lines = np.where(ends, ord("\n"), np.pad(text, ((0, 0), (0, 1))))
         got = bytes(lines[lines != 0]).decode("ascii")
         assert got == "".join(f"{v!r}\n" for v in chunk.tolist())
@@ -118,6 +123,7 @@ def test_layout_follows_the_shape_of_the_input():
     grid = np.array([[1.5, -2.0], [1e300, 5e-324]])
     assert _texts(grid) == ["1.5", "-2.0", "1e+300", "5e-324"]
     assert _texts(grid[:, 0]) == ["1.5", "1e+300"]  # a strided column
+    assert _texts(grid.astype(">f8")) == ["1.5", "-2.0", "1e+300", "5e-324"]  # big-endian
     assert _texts(np.array([], dtype=np.float64)) == []
     assert _texts(np.float32(0.1)) == [repr(float(np.float32(0.1)))]
 

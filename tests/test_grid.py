@@ -11,10 +11,8 @@ import pytest
 import quasifit.expr
 from quasifit import cli
 from quasifit.expr import EvaluationError, parse, power
-from quasifit.grid import (
-    Grid, SampledFunction, enumerate_points, evaluate_at, evaluate_columns, export_csv, sample, write_csv,
-)
-from quasifit.models import Coefficients, evaluate_model_values
+from quasifit.grid import Grid, SampledFunction, enumerate_points, evaluate_columns, export_csv, sample, write_csv
+from quasifit.models import BasisSpec, Coefficients, basis_matrix, evaluate_model_values
 
 
 def test_unit_interval_step_tenth():
@@ -175,7 +173,7 @@ def test_sampling_a_grid_powers_each_axis_value_once(monkeypatch):
     assert sum(sizes) <= 161_603
     sizes.clear()
     shuffled = np.random.default_rng(17).permutation(sf.points)
-    evaluate_at([f], ["x", "y"], shuffled)
+    basis_matrix(BasisSpec((f,)), ["x", "y"], shuffled)
     assert sum(sizes) == 3 * 160_801
 
 
@@ -184,13 +182,6 @@ def test_sample_names_first_non_finite_point():
     with pytest.raises(EvaluationError) as err:
         sample(parse("1e300 * x^100", ["x"]), g, ["x"])
     assert str(err.value) == "non-finite value inf at point (2.0,)"
-
-
-def test_evaluate_at_fills_one_column_per_expression():
-    pts = np.array([[1.0, 2.0], [3.0, -1.0]])
-    out = evaluate_at([parse(s, ["x", "y"]) for s in ("x", "y^2", "x*y", "1")], ["x", "y"], pts)
-    assert out.tolist() == [[1.0, 4.0, 2.0, 1.0], [3.0, 1.0, -3.0, 1.0]]
-    assert evaluate_at([], ["x", "y"], pts).shape == (2, 0)
 
 
 def test_evaluate_columns_yields_new_arrays_the_caller_may_overwrite():
@@ -204,17 +195,6 @@ def test_evaluate_columns_yields_new_arrays_the_caller_may_overwrite():
         values *= -7.0
     assert np.array_equal(points, kept)
     assert got == [[1.0, 3.0, 3.0], [2.0, -1.0, 2.0], [1.0, 1.0, 1.0], [2.0, -3.0, 6.0], [1.0, 3.0, 3.0]]
-
-
-def test_evaluate_at_checks_each_expression_in_order():
-    # the first expression's non-finite value is found before the second's division by zero
-    fs = [parse("x * x", ["x"]), parse("1 / x", ["x"])]
-    with pytest.raises(EvaluationError, match=r"^non-finite value inf at point \(1e\+200,\)$") as err:
-        evaluate_at(fs, ["x"], np.array([[1e200], [0.0]]))
-    assert err.value.index == 0
-    with pytest.raises(EvaluationError, match=r"^division by zero at point \(0\.0,\)$") as err:
-        evaluate_at(fs[::-1], ["x"], np.array([[1e200], [0.0]]))
-    assert err.value.index == 1
 
 
 def test_point_cloud_constructor():
@@ -329,6 +309,8 @@ def test_write_csv_on_grids_matches_row_by_row_writer(rows, points_kind):
         assert (found == counts) == (points_kind != "shuffled-grid")
     columns = {"f": _with_zeros_and_subnormals(rng, rows), "g": rng.choice([0.0, -0.0, 5e-324, 1.5], rows)}
     _assert_same_text(_csv_text(write_csv, points, columns), _csv_text(_reference_write_csv, points, columns))
+    # no value columns: past the first block a grid's rows are only gathered axis texts
+    _assert_same_text(_csv_text(write_csv, points, {}), _csv_text(_reference_write_csv, points, {}))
 
 
 def test_write_csv_holds_a_block_not_a_column():

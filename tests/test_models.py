@@ -145,6 +145,23 @@ def test_basis_matrix_finds_the_grid_product_once(monkeypatch):
     assert np.array_equal(mat[:, 5], pts[:, 0] * pts[:, 1])
 
 
+def test_basis_matrix_fills_one_column_per_function():
+    pts = np.array([[1.0, 2.0], [3.0, -1.0]])
+    out = basis_matrix(_basis(["x", "y^2", "x*y", "1"], XY), XY, pts)
+    assert out.tolist() == [[1.0, 4.0, 2.0, 1.0], [3.0, 1.0, -3.0, 1.0]]
+
+
+def test_basis_matrix_checks_each_function_in_order():
+    # the first function's non-finite value is found before the second's division by zero
+    basis = _basis(["x * x", "1 / x"])
+    with pytest.raises(EvaluationError, match=r"^non-finite value inf at point \(1e\+200,\)$") as err:
+        basis_matrix(basis, ["x"], np.array([[1e200], [0.0]]))
+    assert err.value.index == 0
+    with pytest.raises(EvaluationError, match=r"^division by zero at point \(0\.0,\)$") as err:
+        basis_matrix(BasisSpec(basis.functions[::-1]), ["x"], np.array([[1e200], [0.0]]))
+    assert err.value.index == 1
+
+
 def test_vectorized_evaluation_matches_pointwise():
     # bitwise: a surface value must equal a one-point re-evaluation
     m = ModelClass(

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -50,6 +51,17 @@ def test_bench_pairs_compares_medians_and_counts_pairs_won(better, won):
 def test_bench_pairs_verdict_against_the_bound(better, base, change, verdict):
     metric = {"name": "round_ref_s", "unit": "s", "better": better, "bound": 0.25}
     assert bench_pairs.compare(_runs(base), _runs(change), metric)["verdict"] == verdict
+
+
+def test_bench_pairs_reads_the_host_kernel_median_from_a_run_record(tmp_path):
+    records = tmp_path / "perfbench" / "out" / "records"
+    records.mkdir(parents=True)
+    # kernels of 30, 10 and 50 ms in the first round, 20 ms in the second: median 25 ms
+    rounds = [{"kernels": [[1.0, 1.03], [2.0, 2.01], [3.0, 3.05]]}, {"kernels": [[4.0, 4.02]]}]
+    (records / "coarse-to-fine-seed3-trace0.json").write_text(json.dumps({"rounds": rounds, "traced_rounds": []}))
+    assert bench_pairs.host_kernel_ms(tmp_path, "coarse-to-fine", 3) == pytest.approx(25.0)
+    with pytest.raises(FileNotFoundError):
+        bench_pairs.host_kernel_ms(tmp_path, "coarse-to-fine", 4)
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,9 @@ BENCH_<label>.json at the root of the working tree with, per workload and
 end-to-end metric, each side's runs, median and quartiles, the median's
 relative change, the pairs the change won (was better in) and a verdict
 against the metric's bound (see `compare`), together with the CPU count,
-the Python and numpy versions and both checkout directories. Standard
+the Python and numpy versions and both checkout directories. Per workload
+it also keeps each side's host-kernel medians, one per run (see
+`host_kernel_ms`), which tell a slower host from a slower change. Standard
 library only.
 """
 
@@ -62,6 +64,14 @@ def run(command: list[str], checkout: Path, workload: str, seed: int, seconds: i
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited with {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def host_kernel_ms(checkout: Path, workload: str, seed: int) -> float:
+    """The median host-speed kernel of a run, in ms: over every round's `kernels`
+    ([start, end] pairs) in the record `perfbench/run.py` leaves in the checkout."""
+    record = checkout / "perfbench" / "out" / "records" / f"{workload}-seed{seed}-trace0.json"
+    rounds = json.loads(record.read_text())["rounds"]
+    return 1e3 * statistics.median(end - start for r in rounds for start, end in r["kernels"])
 
 
 def summary(values: list[float]) -> dict:
@@ -132,9 +142,11 @@ def main(argv: list[str] | None = None) -> int:
             for w in args.workload:
                 for side in order:
                     res = run(command, sides[side], w, seed, bench["run_seconds"])
+                    res["host_kernel_ms"] = host_kernel_ms(sides[side], w, seed)
                     runs[w][side].append(res)
                     print(f"seed {seed} {w} {side}: " + ", ".join(
-                        f"{k}={v['value']:.4g}" for k, v in res["metrics"].items()), flush=True)
+                        f"{k}={v['value']:.4g}" for k, v in res["metrics"].items())
+                        + f", host_kernel_ms={res['host_kernel_ms']:.4g}", flush=True)
 
     report = {
         "base": {"rev": args.base, "commit": commit, "checkout": str(sides["base"])},
@@ -150,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                         "failed": sum(r["failed"] for r in rs), "attempted": sum(r["attempted"] for r in rs)}
                  for side, rs in by_side.items()}
         entry["metrics"] = {m["name"]: compare(by_side["base"], by_side["change"], m) for m in bench["end_to_end"]}
+        entry["host_kernel_ms"] = {side: summary([r["host_kernel_ms"] for r in rs]) for side, rs in by_side.items()}
         report["workloads"][w] = entry
 
     out = ROOT / f"BENCH_{args.label}.json"
@@ -162,6 +175,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{w:16} {name:12} {a['median']:10.4g} [{a['q1']:.4g}-{a['q3']:.4g}] "
                   f"{b['median']:10.4g} [{b['q1']:.4g}-{b['q3']:.4g}] "
                   f"{m['pairs_won']:>2}/{args.pairs} {m['median_change']:+8.1%}  {m['verdict']}")
+    print(f"\n{'workload':16} {'host kernel ms':12} {'base median [q1-q3]':>28} {'change median [q1-q3]':>28}")
+    for w, entry in report["workloads"].items():
+        a, b = entry["host_kernel_ms"]["base"], entry["host_kernel_ms"]["change"]
+        print(f"{w:16} {'':12} {a['median']:10.4g} [{a['q1']:.4g}-{a['q3']:.4g}] "
+              f"{b['median']:10.4g} [{b['q1']:.4g}-{b['q3']:.4g}]")
     print(f"wrote {out}")
     return 0
 
