@@ -62,16 +62,11 @@ class FitResult:
         return (self.lower, self.upper)
 
 
-def _oracle(
-    problem: LevelProblem, z: float, start: np.ndarray | None = None
-) -> tuple[bool, Coefficients | None, LpSolution]:
-    """Decide level-z emptiness; when nonempty also return witness coefficients."""
-    lp = build_feasibility_lp(problem, z)
-    sol = solve(lp, start=start)
+def _oracle(problem: LevelProblem, z: float, start: np.ndarray | None = None) -> tuple[bool, LpSolution]:
+    """Decide level-z emptiness; when nonempty the solution's free coefficients are a witness."""
+    sol = solve(build_feasibility_lp(problem, z), start=start)
     if sol.status == OPTIMAL:
-        if sol.objective <= 0.0:
-            return True, problem.model.coefficients_from_free(sol.solution[:-1]), sol
-        return False, None, sol
+        return sol.objective <= 0.0, sol
     if sol.status == INFEASIBLE:
         # positivity rows do not depend on z and the start was feasible
         raise FitError(
@@ -95,22 +90,22 @@ def fit(model: ModelClass, f: SampledFunction, epsilon: float = 1e-6) -> FitResu
 
     lower = 0.0
     upper = u0
-    best: Coefficients | None = None
+    best: LpSolution | None = None
     trace: list[TraceEntry] = []
     problem = LevelProblem(model, f)
     basis = None
     while upper - lower > epsilon:
         z = 0.5 * (upper + lower)
-        feasible, coeffs, sol = _oracle(problem, z, basis)
+        feasible, sol = _oracle(problem, z, basis)
         basis = sol.basis
         trace.append(TraceEntry(z, feasible, sol.objective, sol.iterations))
         if feasible:
             upper = z
-            best = coeffs
+            best = sol
         else:
             lower = z
 
-    final = best if best is not None else initial
+    final = initial if best is None else model.coefficients_from_free(best.solution[:-1])
     g = evaluate_model_values(model, final, f.points)
     achieved = float(np.max(np.abs(f.values - g)))
     return FitResult(final, lower, upper, achieved, len(trace), g, trace)
@@ -133,9 +128,9 @@ def certify_bracket(
     infeasible.  The second entry is None when l = 0.
     """
     problem = LevelProblem(model, f)
-    up_ok, _, _ = _oracle(problem, result.upper + epsilon)
+    up_ok, _ = _oracle(problem, result.upper + epsilon)
     if result.lower <= 0.0:
         return up_ok, None
     probe = result.lower - min(epsilon, result.lower / 2.0)
-    low_feasible, _, _ = _oracle(problem, probe)
+    low_feasible, _ = _oracle(problem, probe)
     return up_ok, not low_feasible

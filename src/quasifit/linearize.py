@@ -19,8 +19,8 @@ Denominator positivity rows  -B.H(x) <= -delta  define the model's domain
 rather than the level set, so the decision oracle keeps them hard, and a
 last floor row u >= -1 keeps a deeply feasible level bounded.  Only
 hi = phi_inv(f + z) and lo = phi_inv(f - z) depend on z: a fit builds one
-`LevelProblem`, which evaluates the bases and lays out every row once, and
-`build_feasibility_lp` fills in hi and lo for each level it probes.
+`LevelProblem`, which evaluates the bases and lays out and validates its one
+LP once, and `build_feasibility_lp` writes hi and lo into it for each level.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ class LinearProgram:
 
 
 class LevelProblem:
-    """The z-independent part of every level LP of one fit, built once.
+    """The one level LP of a fit, laid out and validated once, refilled at each level.
 
-    Holds G (and H) evaluated on the sample points and the row layout that
-    `build_feasibility_lp` fills in; an affine model is laid out as a
-    rational one with denominator 1 and no free denominator column.
+    Evaluates G (and H) on the sample points, lays out the writable `rows`
+    and `rhs`, and validates `lp`, the read-only LP over them; an affine
+    model is laid out as a rational one with denominator 1 and no free
+    denominator column.
     """
 
     def __init__(self, model: ModelClass, f: SampledFunction):
@@ -87,8 +88,6 @@ class LevelProblem:
         n_free = n_g + len(free_b)
         self.model = model
         self.values = f.values
-        self.names = tuple(model.coefficient_names() + ["u"])
-        self.objective = np.append(np.zeros(n_free), 1.0)
         self.den_columns = slice(n_g, n_free)
         self.block = 2 if model.denominator is None else 3
         self.rows = np.zeros((self.block * n_pts + 1, n_free + 1))
@@ -114,29 +113,34 @@ class LevelProblem:
             level[2::3, self.den_columns] = -self.h_free
             level[2::3, -1] = 0.0
             self.rhs[2:-1:3] = self.den_fixed - model.delta
-        for arr in (self.objective, self.rows, self.rhs):
-            arr.setflags(write=False)
+        names = tuple(model.coefficient_names() + ["u"])
+        self.lp = LinearProgram(np.append(np.zeros(n_free), 1.0), self.rows, self.rhs, names)
 
 
 def build_feasibility_lp(problem: LevelProblem, z: float) -> LinearProgram:
     """The level-z emptiness LP over the free coefficients plus the slack u.
 
-    Fills hi = phi_inv(f + z) and lo = phi_inv(f - z) into the rows laid out
+    Writes hi = phi_inv(f + z) and lo = phi_inv(f - z) into the rows laid out
     by `problem`: grid points in enumeration order, within a point the upper
     level row, the lower level row, then (rational models) the denominator
-    positivity row, and the floor row u >= -1 last.
+    positivity row, and the floor row u >= -1 last.  Returns `problem.lp`,
+    the problem's own LP, so the next call on the same problem refills it:
+    read a level's LP before building the next.  The values written are
+    checked to be finite here; the rest was checked once, in `problem.lp`.
     """
     if z < 0:
         raise ValueError("level z must be nonnegative")
-    hi = problem.model.outer.inverse(problem.values + z)
-    lo = problem.model.outer.inverse(problem.values - z)
-    k = problem.block
-    rows = problem.rows
-    if problem.h_free.size:
-        rows = rows.copy()
-        rows[0:-1:k, problem.den_columns] = -hi[:, None] * problem.h_free
-        rows[1:-1:k, problem.den_columns] = lo[:, None] * problem.h_free
-    rhs = problem.rhs.copy()
-    rhs[0:-1:k] = hi * problem.den_fixed
-    rhs[1:-1:k] = -lo * problem.den_fixed
-    return LinearProgram(problem.objective, rows, rhs, problem.names)
+    k, rows, rhs = problem.block, problem.rows, problem.rhs
+    # f +- z and the products can overflow, and an infinite bound times a
+    # zero of H is nan; the check below reports either as one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = problem.model.outer.inverse(problem.values + z)
+        lo = problem.model.outer.inverse(problem.values - z)
+        rhs[0:-1:k] = hi * problem.den_fixed
+        rhs[1:-1:k] = -lo * problem.den_fixed
+        if problem.h_free.size:
+            rows[0:-1:k, problem.den_columns] = -hi[:, None] * problem.h_free
+            rows[1:-1:k, problem.den_columns] = lo[:, None] * problem.h_free
+    if not (np.isfinite(rhs).all() and np.isfinite(rows[:, problem.den_columns]).all()):
+        raise ValueError(f"the bounds of level z={z!r} are not finite")
+    return problem.lp

@@ -1,12 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quasifit.bisection
 from quasifit.bisection import FitError, certify_bracket, expected_iterations, fit
+from quasifit.cli import _build_model
 from quasifit.expr import parse
 from quasifit.grid import Grid, SampledFunction, enumerate_points, sample
-from quasifit.linearize import LevelProblem
+from quasifit.linearize import LevelProblem, LinearProgram
 from quasifit.models import (
     BasisSpec,
     InfeasibleInitialCoefficientsError,
@@ -170,11 +174,11 @@ def test_unbounded_oracle_level_yields_witness():
         BasisSpec.from_sources(["1", "x^2"], ["x"]),
         (0, 1.0),
     )
-    feasible, coeffs, _ = _oracle(LevelProblem(model, f), 1.0)
+    feasible, sol = _oracle(LevelProblem(model, f), 1.0)
     assert feasible
     from quasifit.models import evaluate_model_values
 
-    g = evaluate_model_values(model, coeffs, f.points)
+    g = evaluate_model_values(model, model.coefficients_from_free(sol.solution[:-1]), f.points)
     assert np.max(np.abs(f.values - g)) <= 1.0 + 1e-8
 
     # a nonzero target on the same domain hits the unbounded branch at every
@@ -214,6 +218,25 @@ def test_fit_evaluates_each_basis_once_for_its_levels(monkeypatch):
             res = fit(model, f, epsilon=eps)
             assert res.iterations > 1
             assert len(calls) == per_fit, (model.denominator, eps, res.iterations)
+
+
+@pytest.mark.parametrize("name", ["benchmark_affine_cubed", "benchmark_rational_cubed"])
+def test_fit_validates_one_level_lp(monkeypatch, name):
+    # the level LP is laid out and validated once per fit and refilled in
+    # place at each level, not built anew per level
+    config = json.loads((Path(__file__).parent.parent / "configs" / f"{name}.json").read_text())
+    model, target, grid = _build_model(config)
+    f = sample(target, grid, model.variables)
+    validate, built = LinearProgram.__post_init__, []
+
+    def counted(lp):
+        built.append(lp)
+        validate(lp)
+
+    monkeypatch.setattr(LinearProgram, "__post_init__", counted)
+    res = fit(model, f, epsilon=config["solver"]["epsilon"])
+    assert res.iterations == 27
+    assert len(built) == 1
 
 
 def test_tight_positivity_margin_respected():
@@ -299,7 +322,7 @@ def test_trace_pivots_repeat_on_resolve():
     problem = LevelProblem(model, f)
     start = None
     for t in res.trace:
-        _, _, sol = _oracle(problem, t.z, start=start)
+        _, sol = _oracle(problem, t.z, start=start)
         assert sol.iterations == t.pivots
         start = sol.basis
 
@@ -486,4 +509,4 @@ def test_rank_deficient_basis_solves_every_level_cold():
     assert warm.trace == cold.trace
     assert warm.coefficients == cold.coefficients
     assert (warm.lower, warm.upper, warm.achieved_deviation) == (cold.lower, cold.upper, cold.achieved_deviation)
-    assert all(_oracle(LevelProblem(model, f), t.z)[2].basis is None for t in warm.trace)
+    assert all(_oracle(LevelProblem(model, f), t.z)[1].basis is None for t in warm.trace)

@@ -207,6 +207,14 @@ _UNHANDLED_INPUTS = {
     "negative-epsilon": ("config", lambda tmp: _fit_argv(tmp, solver={"epsilon": -1})),
     "unresolvable-epsilon": ("config", lambda tmp: _fit_argv(
         tmp, target="x^2", grid={"lower": -1.0, "upper": 1.0, "step": 0.5}, solver={"epsilon": 1e-300})),
+    # f + z overflows at the first level, z = 8.5e307; a rational model's
+    # infinite bound also meets a zero of its free denominator column x
+    "level-bounds-overflow": ("config", lambda tmp: _fit_argv(
+        tmp, target="1.7e308 * x", grid=_POLE, model={"outer": "identity", "numerator_basis": ["1"]},
+        solver={"epsilon": 1e294})),
+    "rational-level-bounds-overflow": ("config", lambda tmp: _fit_argv(
+        tmp, target="1.7e308 + 0 * x", grid=_POLE, model=dict(_RATIONAL_POLE, denominator_basis=["1", "x"]),
+        solver={"epsilon": 1e294})),
     "result-in-missing-dir": ("config", lambda tmp: _missing_dir_output(tmp, "result_path")),
     "surface-in-missing-dir": ("config", lambda tmp: _missing_dir_output(tmp, "surface_path")),
     "surface-without-residual": ("input", lambda tmp: [
@@ -336,6 +344,8 @@ _ENTRY_POINT_MESSAGES = {
     "infinite-grid-bound": "axis 1: lower 0.0, upper inf and step 0.5 must be finite",
     "unresolvable-epsilon":
         "epsilon 1e-300 is below 2 ulp of max|f| = 1.0, finer than a bisection in doubles can go",
+    "level-bounds-overflow": "the bounds of level z=8.5e+307 are not finite",
+    "rational-level-bounds-overflow": "the bounds of level z=8.5e+307 are not finite",
     "coefficients-not-an-object": "coefficients must be a JSON object",
     "numerator-degree-above-n": "actual numerator degree 1 exceeds nominal 0",
     "rational-fit-without-m": "actual denominator degree 2 exceeds nominal 0",

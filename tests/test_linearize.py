@@ -113,6 +113,22 @@ def test_rejects_negative_level():
         build_feasibility_lp(LevelProblem(_affine_model(), _two_point_samples()), -0.1)
 
 
+def test_level_with_bounds_that_are_not_finite_is_refused():
+    # hi * H overflows in the denominator block while hi times the fixed
+    # part stays finite in the rhs; the level is refused, with no warning
+    model = ModelClass(
+        ("x",),
+        MonotoneOuter.identity(),
+        BasisSpec.from_sources(["1"], ["x"]),
+        BasisSpec.from_sources(["1", "1e10 * x"], ["x"]),
+        (0, 1.0),
+    )
+    problem = LevelProblem(model, SampledFunction.from_points([(0.0,), (1.0,)], [1e300, 1e300]))
+    with pytest.raises(ValueError, match=r"^the bounds of level z=5e\+299 are not finite$"):
+        build_feasibility_lp(problem, 5e299)
+    assert np.isfinite(problem.rhs).all()
+
+
 def test_soundness_of_feasible_oracle_solutions():
     # whenever u* <= 0, the solution coefficients meet every level constraint
     grid = Grid((-1.0,), (1.0,), (0.25,))
@@ -186,9 +202,9 @@ def test_oracle_soundness_randomized(data, z, power, rational):
         model = ModelClass(("x",), outer, BasisSpec.from_sources(["1", "x"], ["x"]))
     # the oracle folds the unbounded case (denominator scalable to infinity
     # at a deeply feasible level) into a feasible verdict with a witness
-    feasible, coeffs, _ = _oracle(LevelProblem(model, f), z)
+    feasible, sol = _oracle(LevelProblem(model, f), z)
     if feasible:
-        g = evaluate_model_values(model, coeffs, f.points)
+        g = evaluate_model_values(model, model.coefficients_from_free(sol.solution[:-1]), f.points)
         scale = 1.0 + float(np.max(np.abs(f.values)))
         assert np.max(np.abs(f.values - g)) <= z + 1e-8 * scale
 
@@ -263,10 +279,10 @@ def _same_bits(a, b):
 
 
 def test_level_lps_match_reference_assembly():
-    # the per-fit template plus per-level fill gives bit for bit the LP of a
-    # one-shot assembly, and re-filling an earlier level gives it again;
-    # comparing only after every level is built also catches LPs sharing
-    # a buffer that a later level overwrites
+    # the per-fit layout plus the per-level fill gives bit for bit the LP of
+    # a one-shot assembly, and re-filling an earlier level gives it again:
+    # every level writes all it depends on, so nothing stale is left from
+    # the level before; every call returns the problem's one LP
     grid = Grid((-1.0, -1.0), (1.0, 1.0), (0.25, 0.5))
     f = sample(parse("(-x + y^3 + x^4)^2 - 0.5", XY), grid, XY)
     numerator = BasisSpec.from_sources(["1", "x", "y", "x*y"], XY)
@@ -278,9 +294,9 @@ def test_level_lps_match_reference_assembly():
         )
         for model in models:
             problem = LevelProblem(model, f)
-            levels = (0.0, 0.3, 1.7, 0.3, 0.0)
-            lps = [build_feasibility_lp(problem, z) for z in levels]
-            for z, lp in zip(levels, lps):
+            for z in (0.0, 0.3, 1.7, 0.3, 0.0):
+                lp = build_feasibility_lp(problem, z)
+                assert lp is problem.lp
                 ref = _reference_lp(model, f, z)
                 assert lp.names == ref.names
                 assert _same_bits(lp.objective, ref.objective)
