@@ -21,24 +21,38 @@ only comparisons and pointwise max occur.
 The enumerations work on bitmasks instead: a set of indices is the int
 with bit i set for each member i (Python ints, so any ground size fits;
 numpy int64 arrays only where a size guard keeps the width at most 20).
-A table of k rows on n points gives the (k, n) row-mask table
-ge[i, x] = {j : row_j(x) >= row_i(x)}.  Row i lies below the supremum of a
-nonempty row set S exactly when S & ge[i, x] != 0 at every x (an x where
-row_i(x) is -inf puts every row in ge[i, x] and so sets no condition), so
-one vectorised pass closes a whole batch of row sets; the empty set's
-closure is the set of rows that are -inf everywhere.  The strict support
-set of sup(S) is the same test on gt[i, x] | inf_at[x], the rows strictly
-above row i at x or +inf there.  Caratheodory numbers come from a table of
-the hulls of all 2^n subsets, built by a superset-AND transform: start from
-each member's own mask (the full mask elsewhere) and, for each bit b, AND
+For a table of k rows on n points, cover[j, x] is the mask of the rows i
+with row_j(x) >= row_i(x).  Row i lies below the supremum of a nonempty
+row set S exactly when some row of S covers it at every x, so cl(S) is
+the AND over x of the OR of cover[j, x] over j in S.  Those ORs come from
+per-point byte tables, built by doubling: entry [c, b, x] is the OR of
+cover[8c + t, x] over the bits t of the byte b, so closing a batch of row
+sets is one table lookup per byte of the row masks, an OR across the
+bytes and an AND across the points (the bit-parallel table method of
+Arlazarov, Dinic, Kronrod and Faradzev).  The empty set's closure is the
+set of rows that are -inf everywhere.  The closed sets are found in
+passes, each closing every one-row extension of the sets the pass before
+found, a batch at a time; two bool bitmaps over all 2^k masks record the
+sets found so far and those found in the current pass, so a set reached
+many times is kept and extended once.  The strict support set of sup(S)
+is the same closure over a second table whose cover holds the rows
+strictly below row j at x, or every row where row_j(x) is +inf.  Every set
+between a strict and an ordinary support set is expanded from the gap
+bits in k vectorised passes and marked in a third bitmap.  Masks become
+frozensets as unions of one piece per byte, each from a 256-entry table
+of frozensets.  Caratheodory numbers come from a table of the hulls of
+all 2^n subsets, built by a superset-AND transform: start from each
+member's own mask (the full mask elsewhere) and, for each bit b, AND
 every subset without b with its superset with b, n vectorised passes over
-a 2^n array.
+a 2^n array.  Every table is built on first use.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -68,7 +82,7 @@ __all__ = [
 ]
 
 INF = math.inf
-_BLOCK = 1 << 13  # elements in the largest array of one closure pass
+_BLOCK = 1 << 13  # elements in the largest temporary array of one enumeration pass
 
 
 class SizeGuardError(ValueError):
@@ -229,52 +243,79 @@ def _mask(subset: Iterable[int]) -> int:
     return sum(1 << i for i in subset)
 
 
-def _sets(masks: Iterable[int], width: int) -> frozenset[frozenset[int]]:
-    """The index sets of bitmasks of the given width."""
-    return frozenset(frozenset(i for i in range(width) if m >> i & 1) for m in masks)
+@functools.cache
+def _byte_sets(c: int) -> tuple[frozenset[int], ...]:
+    """The 256 index sets of one byte of a mask: entry b holds 8c + t for each bit t of b."""
+    return tuple(frozenset(8 * c + t for t in range(8) if b >> t & 1) for b in range(256))
 
 
-def _row_masks(table: FunctionTable, above) -> np.ndarray:
-    """(k, n) int64 masks: bit j of [i, x] is set when above(row_j(x), row_i(x))."""
-    k = len(table)
-    values = np.array(table.rows, dtype=float).reshape(k, table.ground.size)
-    weights = np.left_shift(1, np.arange(k, dtype=np.int64))
-    return np.einsum("ijx,j->ix", above(values[None, :, :], values[:, None, :]), weights)
+def _sets(masks: np.ndarray, width: int) -> frozenset[frozenset[int]]:
+    """The index sets of an int array of bitmasks, each a union of one piece per byte."""
+    pieces = [map(_byte_sets(c).__getitem__, (masks >> 8 * c & 255).tolist())
+              for c in range(max(1, -(-width // 8)))]
+    return frozenset(pieces[0] if len(pieces) == 1 else map(frozenset.union, *pieces))
 
 
-def _rows_met(sets: np.ndarray, row_masks: np.ndarray) -> np.ndarray:
-    """For each set S, the mask of rows i with S & row_masks[i, x] != 0 at every x."""
-    k, n = row_masks.shape
-    weights = np.left_shift(1, np.arange(k, dtype=np.int64))
-    step = max(1, _BLOCK // max(1, k * n))
-    out = np.empty(len(sets), dtype=np.int64)
-    for lo in range(0, len(sets), step):
-        hits = (sets[lo : lo + step, None, None] & row_masks) != 0
-        out[lo : lo + step] = hits.all(axis=2) @ weights
-    return out
+def _closure_tables(values: np.ndarray, above) -> np.ndarray:
+    """(bytes, 256, n) int64 tables of row masks for closing a row set one byte at a time.
 
-
-def _closed_masks(table: FunctionTable) -> list[int]:
-    """Masks of the closed sets of cl(S) = support_set(sup_of_rows(S)).
-
-    Enumerated from cl(empty set) by closing each set found with one more
-    row until no new set appears.  Every closed set is reached one row at a
-    time because cl(cl(A) | {i}) == cl(A | {i}); the k one-row extensions of
-    a batch of pending sets are closed in one pass.
+    cover[j, x] is the mask of rows i with above(row_j(x), row_i(x)); entry
+    [c, b, x] is the union of cover[8c + t, x] over the bits t of b.  Rows
+    past k cover nothing, and columns [2^t, 2^(t+1)) are columns [0, 2^t)
+    with the cover of bit t added.
     """
-    k = len(table)
-    bottom = _mask(i for i, row in enumerate(table.rows) if all(v == -INF for v in row))
-    ge = _row_masks(table, np.greater_equal)
-    step = max(1, _BLOCK // max(1, k))
-    closed = {bottom}
-    pending = [bottom]
-    while pending:
-        extensions = {c | 1 << i for c in pending[-step:] for i in range(k)} - closed
-        del pending[-step:]
-        found = set(_rows_met(np.array(list(extensions), dtype=np.int64), ge).tolist()) - closed
-        closed |= found
-        pending.extend(found)
-    return sorted(closed)
+    k, n = values.shape
+    weights = np.left_shift(1, np.arange(k, dtype=np.int64))
+    cover = np.zeros((8 * max(1, -(-k // 8)), n), dtype=np.int64)
+    cover[:k] = np.einsum("jix,i->jx", above(values[:, None, :], values[None, :, :]), weights)
+    cover = cover.reshape(-1, 8, 1, n)
+    tables = np.zeros((len(cover), 256, n), dtype=np.int64)
+    for t in range(8):
+        tables[:, 1 << t : 2 << t] = tables[:, : 1 << t] | cover[:, t]
+    return tables
+
+
+def _close(sets: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """For each set S, the rows i such that at every x some row of S covers row i."""
+    reached = tables[0][sets & 255]
+    for c in range(1, len(tables)):
+        reached |= tables[c][sets >> 8 * c & 255]
+    return np.bitwise_and.reduce(reached, axis=1)
+
+
+def _values(table: FunctionTable) -> np.ndarray:
+    """The (k, n) float array of the table's rows."""
+    return np.array(table.rows, dtype=float).reshape(len(table), table.ground.size)
+
+
+def _closed_masks(values: np.ndarray) -> np.ndarray:
+    """Sorted masks of the closed sets of cl(S) = support_set(sup_of_rows(S)).
+
+    Enumerated from cl(empty set), the rows that are -inf everywhere, by
+    closing each set found with one more row until no new set appears.
+    Every closed set is reached one row at a time because cl(cl(A) | {i})
+    == cl(A | {i}).  Each pass extends the sets the pass before found: the
+    k one-row extensions of a batch of them are closed together, and two
+    bitmaps over all 2^k masks mark the sets found so far and in this pass,
+    so a set closed many times is kept once.  A pass adds at least one row,
+    so there are at most k + 1 passes.
+    """
+    k, n = values.shape
+    tables = _closure_tables(values, np.greater_equal)
+    bits = np.left_shift(1, np.arange(k, dtype=np.int64))
+    bottom = (values == -INF).all(axis=1) @ bits
+    found = np.zeros(1 << k, dtype=bool)
+    fresh = np.zeros(1 << k, dtype=bool)  # found in the last pass, not yet extended
+    found[bottom] = fresh[bottom] = True
+    step = max(1, _BLOCK // max(1, k * n))
+    while (pending := np.flatnonzero(fresh)).size:
+        fresh[:] = False
+        for lo in range(0, len(pending), step):
+            extensions = (pending[lo : lo + step, None] | bits).ravel()
+            closures = _close(extensions[~found[extensions]], tables)
+            new = closures[~found[closures]]
+            found[new] = fresh[new] = True
+    return np.flatnonzero(found)
 
 
 def l_convex_sets(table: FunctionTable) -> frozenset[frozenset[int]]:
@@ -287,7 +328,7 @@ def l_convex_sets(table: FunctionTable) -> frozenset[frozenset[int]]:
     k = len(table)
     if k > 20:
         raise SizeGuardError(f"l_convex_sets is limited to 20 rows, got {k}")
-    return _sets(_closed_masks(table), k)
+    return _sets(_closed_masks(_values(table)), k)
 
 
 def convexity_extension(table: FunctionTable) -> frozenset[frozenset[int]]:
@@ -303,17 +344,26 @@ def convexity_extension(table: FunctionTable) -> frozenset[frozenset[int]]:
     k = len(table)
     if k > 12:
         raise SizeGuardError(f"convexity_extension is limited to 12 rows, got {k}")
-    closed = _closed_masks(table)
-    below = _row_masks(table, lambda a, b: (a > b) | (a == INF))
-    out = set()
-    for c, strict in zip(closed, _rows_met(np.array(closed, dtype=np.int64), below).tolist()):
-        gap = extra = c & ~strict
-        while True:  # every submask of the gap, down to 0
-            out.add(strict | extra)
-            if not extra:
-                break
-            extra = (extra - 1) & gap
-    return _sets(out, k)
+    values = _values(table)
+    closed = _closed_masks(values)
+    strict = _close(closed, _closure_tables(values, lambda a, b: (a > b) | (a == INF)))
+    gap = closed & ~strict
+    sizes = np.ones_like(gap)  # 2^|gap|: the sandwiches of each closed set
+    for b in range(k):
+        sizes <<= gap >> b & 1
+    ends = np.cumsum(sizes)
+    out = np.zeros(1 << k, dtype=bool)
+    lo = 0
+    while lo < len(closed):  # closed sets in runs of at most _BLOCK sandwiches
+        hi = int(np.searchsorted(ends, ends[lo] - sizes[lo] + _BLOCK, side="right"))
+        sets, gaps = strict[lo:hi], gap[lo:hi]
+        for b in range(k):  # add bit b to every partial sandwich whose gap has it
+            has = (gaps >> b & 1).astype(bool)
+            sets = np.concatenate([sets, sets[has] | 1 << b])
+            gaps = np.concatenate([gaps, gaps[has]])
+        out[sets] = True
+        lo = hi
+    return _sets(np.flatnonzero(out), k)
 
 
 def family_over_rows(table: FunctionTable, members: Iterable[frozenset[int]]) -> ConvexityFamily:
@@ -333,7 +383,10 @@ def caratheodory_number(family: ConvexityFamily) -> int:
     if n > 10:
         raise SizeGuardError(f"caratheodory_number is limited to ground size 10, got {n}")
     hulls = np.full(1 << n, (1 << n) - 1, dtype=np.int64)
-    members = np.array([_mask(m) for m in family.members], dtype=np.int64)
+    sets = list(family.members)  # each member's mask is the sum of its elements' bits
+    elements = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64)
+    owners = np.repeat(np.arange(len(sets)), list(map(len, sets)))
+    members = np.bincount(owners, np.left_shift(1, elements), len(sets)).astype(np.int64)
     hulls[members] = members
     covered = np.zeros_like(hulls)
     sizes = np.zeros_like(hulls)

@@ -18,7 +18,11 @@ columns, and `solve` starts from scratch when the basis is no longer feasible.
 
 The coefficients returned are those of the last feasible oracle call, and
 the reported deviation is recomputed from them by direct evaluation, which
-is the honest number when the LP stops inside its own tolerance.
+is the honest number when the LP stops inside its own tolerance.  That
+deviation must not exceed the reported upper end by more than the rounding
+of the evaluation, 8 ulp of the larger of max|f| and max|g|; otherwise a
+feasible verdict was wrong, and the fit fails instead of reporting an
+upper end its own witness does not achieve.
 """
 
 from __future__ import annotations
@@ -108,6 +112,10 @@ def fit(model: ModelClass, f: SampledFunction, epsilon: float = 1e-6) -> FitResu
     final = initial if best is None else model.coefficients_from_free(best.solution[:-1])
     g = evaluate_model_values(model, final, f.points)
     achieved = float(np.max(np.abs(f.values - g)))
+    gap = achieved - upper
+    if gap > 8.0 * np.spacing(max(u0, float(np.max(np.abs(g))))):
+        raise FitError(f"the fitted coefficients deviate by {achieved!r}, above the upper end "
+                       f"upper={upper!r} by {gap!r}")
     return FitResult(final, lower, upper, achieved, len(trace), g, trace)
 
 

@@ -249,13 +249,19 @@ def default_initial_coefficients(model: ModelClass, points: np.ndarray | None = 
     """A = 0 and B = 0 except the fixed entry.
 
     When evaluation points are supplied and the model is rational, the
-    resulting denominator is checked against the positivity margin; failure
-    raises with the offending points.
+    resulting denominator is checked to be finite (a ValueError naming the
+    fixed coefficient and a point) and against the positivity margin
+    (failure raises with the offending points).
     """
     coeffs = model.coefficients_from_free([0.0] * len(model.coefficient_names()))
     if model.denominator is not None and points is not None:
         pts = np.atleast_2d(points)
-        (den,) = _combinations([(model.denominator, coeffs.denominator)], model.variables, pts)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
+            (den,) = _combinations([(model.denominator, coeffs.denominator)], model.variables, pts)
+        if not np.isfinite(den).all():
+            point = tuple(map(float, pts[int(np.argmin(np.isfinite(den)))]))
+            raise ValueError(f"fixed_coefficient value {model.fixed_coefficient[1]!r} makes the "
+                             f"denominator non-finite at point {point}")
         bad = den < model.delta
         if np.any(bad):
             raise InfeasibleInitialCoefficientsError(pts[bad])

@@ -28,6 +28,7 @@ from quasifit.axiomatic import (
     sup_of_rows,
     support_set,
 )
+from quasifit.axiomatic import _sets
 
 from printers import family_to_text, function_table_to_csv
 
@@ -399,6 +400,56 @@ def test_convexity_extension_equals_subset_definition():
         assert ext == _reference_convexity_extension(table), table
         assert type(ext) is frozenset
         assert all(type(m) is frozenset for m in ext)
+
+
+def _wide_tables(rows, count, seed):
+    """Seeded tables of the given row counts (9 or more, so masks reach a
+    second byte) on 1-3 points: values from -inf, 0, 1, 2 and +inf, a row
+    repeated in most tables, and a constant row of each infinity in some."""
+    values = (-INF, 0.0, 1.0, 2.0, INF)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.choice(rows))
+        n = int(rng.integers(1, 4))
+        table = [tuple(values[j] for j in rng.integers(0, len(values), n)) for _ in range(k)]
+        if rng.random() < 0.7:
+            table[int(rng.integers(0, k))] = table[int(rng.integers(0, k))]
+        for inf in (INF, -INF):
+            if rng.random() < 0.3:
+                table[int(rng.integers(0, k))] = (inf,) * n
+        yield FunctionTable(GroundSet(tuple(f"e{i}" for i in range(n))), tuple(table))
+
+
+def test_l_convex_sets_past_one_byte_of_rows():
+    for table in _wide_tables(range(9, 17), 40, 53):
+        assert l_convex_sets(table) == _reference_closure_enumeration(table), table
+
+
+def test_convexity_extension_past_one_byte_of_rows():
+    for table in _wide_tables(range(9, 13), 8, 59):
+        assert convexity_extension(table) == _reference_convexity_extension(table), table
+
+
+def test_convexity_extension_past_one_block_of_sandwiches():
+    # a bump of 1 at each of 5 points, 6 rows of 0 and a row of 2: the closed
+    # sets A | zeros (A a nonempty set of bumps, not all 5) have every row of
+    # A and of the zeros in their gap, over 13,000 sandwiches in all; the
+    # family is every set without all 5 bumps or the 2, then the two largest
+    bumps = [tuple(float(x == i) for x in range(5)) for i in range(5)]
+    table = FunctionTable(GroundSet(tuple("abcde")), tuple(bumps + [(0.0,) * 5] * 6 + [(2.0,) * 5]))
+    ext = convexity_extension(table)
+    assert ext == _reference_convexity_extension(table)
+    assert len(ext) == (2**5 - 1) * 2**6 + 2
+
+
+@pytest.mark.parametrize("width", [0, 1, 8, 9, 16, 20])
+def test_masks_to_sets_round_trip(width):
+    full = (1 << width) - 1
+    masks = [0, full] + np.random.default_rng(width).integers(0, full + 1, 200).tolist()
+    sets = _sets(np.array(masks, dtype=np.int64), width)
+    assert type(sets) is frozenset and all(type(s) is frozenset for s in sets)
+    assert sorted(sum(1 << i for i in s) for s in sets) == sorted(set(masks))
+    assert all(all(0 <= i < width for i in s) for s in sets)
 
 
 _VALUES = (-INF, 0.0, 1.0, 2.0, INF)

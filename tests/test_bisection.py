@@ -510,3 +510,14 @@ def test_rank_deficient_basis_solves_every_level_cold():
     assert warm.coefficients == cold.coefficients
     assert (warm.lower, warm.upper, warm.achieved_deviation) == (cold.lower, cold.upper, cold.achieved_deviation)
     assert all(_oracle(LevelProblem(model, f), t.z)[1].basis is None for t in warm.trace)
+
+
+def test_witness_above_the_upper_end_is_a_fit_error():
+    # degree 16 in monomials on [0, 2]: the LP calls a level feasible whose
+    # witness deviates by 3.1099e-4, 2.1e-6 above the last feasible level
+    model = ModelClass(("x",), MonotoneOuter.identity(),
+                       BasisSpec.from_sources(["1", "x"] + [f"x^{k}" for k in range(2, 17)], ["x"]))
+    f = sample(parse("1/(1+25*x^2)", ["x"]), Grid((0.0,), (2.0,), (0.002,)), ["x"])
+    assert len(f.values) == 1001
+    with pytest.raises(FitError, match=r"deviate by [0-9.e-]+, above the upper end upper=[0-9.e-]+ by [0-9.e-]+$"):
+        fit(model, f, epsilon=1e-9)

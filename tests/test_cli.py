@@ -215,6 +215,10 @@ _UNHANDLED_INPUTS = {
     "rational-level-bounds-overflow": ("config", lambda tmp: _fit_argv(
         tmp, target="1.7e308 + 0 * x", grid=_POLE, model=dict(_RATIONAL_POLE, denominator_basis=["1", "x"]),
         solver={"epsilon": 1e294})),
+    # the fixed denominator term 1e308 * 10x overflows before any level is built
+    "fixed-coefficient-overflow": ("config", lambda tmp: _fit_argv(
+        tmp, target="x", grid={"lower": 1.0, "upper": 2.0, "step": 0.5}, model=dict(
+            _RATIONAL_POLE, denominator_basis=["10*x", "1"], fixed_coefficient={"index": 0, "value": 1e308}))),
     "result-in-missing-dir": ("config", lambda tmp: _missing_dir_output(tmp, "result_path")),
     "surface-in-missing-dir": ("config", lambda tmp: _missing_dir_output(tmp, "surface_path")),
     "surface-without-residual": ("input", lambda tmp: [
@@ -346,6 +350,7 @@ _ENTRY_POINT_MESSAGES = {
         "epsilon 1e-300 is below 2 ulp of max|f| = 1.0, finer than a bisection in doubles can go",
     "level-bounds-overflow": "the bounds of level z=8.5e+307 are not finite",
     "rational-level-bounds-overflow": "the bounds of level z=8.5e+307 are not finite",
+    "fixed-coefficient-overflow": "fixed_coefficient value 1e+308 makes the denominator non-finite at point (1.0,)",
     "coefficients-not-an-object": "coefficients must be a JSON object",
     "numerator-degree-above-n": "actual numerator degree 1 exceeds nominal 0",
     "rational-fit-without-m": "actual denominator degree 2 exceeds nominal 0",

@@ -116,3 +116,8 @@ def test_same_outputs_compares_report_outputs():
         "w change: fit affine: OperationFailed: exited with 4",
         """w outputs['fine_deviation']: {"affine": 1.5} against {"affine": 1.25}""",
     ]
+
+
+def test_same_outputs_runs_every_benchmark_workload():
+    declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["workloads"]
+    assert list(same_outputs.WORKLOADS) == [w["name"] for w in declared]

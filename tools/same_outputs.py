@@ -1,16 +1,17 @@
-"""Same outputs: the benchmark's fit outputs at a base revision against the working tree.
+"""Same outputs: the benchmark's outputs at a base revision against the working tree.
 
     python tools/same_outputs.py --base HEAD
 
 Exports REV and copies the working tree as `tools/bench_pairs.py` does, into
 sibling directories `base` and `work` of a temporary directory. In each copy
-it runs one round of the `fit-benchmarks` and `coarse-to-fine` workloads
-(`perfbench/workload.py --seed 1 --seconds 0.01`), each in an empty
-working directory with its report written outside it. The working
-directories hold every config, result JSON, surface CSV and residual CSV
-the round writes. It then compares the two sides' files byte for byte, and
-the reports' `outputs` (fine deviations, the `verify` report) as parsed
-JSON. Every difference is printed, a file on one side only included; the
+it runs one round of each of WORKLOADS (`perfbench/workload.py --seed 1
+--seconds 0.01`), each in an empty working directory with its report
+written outside it. The working directories hold every config, result
+JSON, surface CSV and residual CSV the round writes. It then compares the
+two sides' files byte for byte, and the reports' `outputs` as parsed JSON:
+the fine deviations and the `verify` report of the fit workloads, and every
+enumerated family and the four `convexity` CLI answers of `convexity-enum`.
+Every difference is printed, a file on one side only included; the
 exit status is 1 when there is any, else 0. Standard library only.
 """
 
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from bench_pairs import copy_worktree, export
 
-WORKLOADS = ("fit-benchmarks", "coarse-to-fine")
+WORKLOADS = ("fit-benchmarks", "coarse-to-fine", "convexity-enum")
 
 
 def run_round(checkout: Path, workload: str, workdir: Path, report: Path) -> dict:
