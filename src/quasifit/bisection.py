@@ -15,6 +15,12 @@ from the optimal basis of the one before.  For an affine model the dual's
 feasible region does not depend on z, and that basis is always a feasible
 start; for a rational one it moves with z only through the denominator
 columns, and `solve` starts from scratch when the basis is no longer feasible.
+Each level hands `solve` the last level's solution, whose factorised basis
+it reuses when the basis rows did not change and no pivot updated the
+inverse.  An affine level's rows never change, so it refactors only after
+a level that pivoted; a rational level rewrites the denominator columns of
+its level rows, so it refactors whenever one of them is basic.  A reused
+inverse is bitwise a fresh one, so the fit does not depend on the reuse.
 
 The coefficients returned are those of the last feasible oracle call, and
 the reported deviation is recomputed from them by direct evaluation, which
@@ -66,7 +72,8 @@ class FitResult:
         return (self.lower, self.upper)
 
 
-def _oracle(problem: LevelProblem, z: float, start: np.ndarray | None = None) -> tuple[bool, LpSolution]:
+def _oracle(problem: LevelProblem, z: float,
+            start: np.ndarray | LpSolution | None = None) -> tuple[bool, LpSolution]:
     """Decide level-z emptiness; when nonempty the solution's free coefficients are a witness."""
     sol = solve(build_feasibility_lp(problem, z), start=start)
     if sol.status == OPTIMAL:
@@ -97,11 +104,10 @@ def fit(model: ModelClass, f: SampledFunction, epsilon: float = 1e-6) -> FitResu
     best: LpSolution | None = None
     trace: list[TraceEntry] = []
     problem = LevelProblem(model, f)
-    basis = None
+    sol = None
     while upper - lower > epsilon:
         z = 0.5 * (upper + lower)
-        feasible, sol = _oracle(problem, z, basis)
-        basis = sol.basis
+        feasible, sol = _oracle(problem, z, sol)
         trace.append(TraceEntry(z, feasible, sol.objective, sol.iterations))
         if feasible:
             upper = z

@@ -20,7 +20,13 @@ A solve starts either from one artificial per equality row, driven out in
 phase one, which deletes the rows a rank-deficient G makes redundant (v is
 then the minimum-norm solution of the shorter system), or from a given
 basis, such as the previous bisection level's optimum, when it is well
-conditioned and its dual values B^-1(-c) are nonnegative.
+conditioned and its dual values B^-1(-c) are nonnegative.  Given the
+earlier solution itself, the solve takes over its factorised basis, with
+that verdict, when no pivot has updated the inverse since its last factor
+and the basis rows of G and -c are bitwise the ones it was factored from.
+That inverse is then bitwise the one a fresh factor computes, so the
+pivots, and every result, are those of a start from the basis's indices;
+otherwise the basis is factored afresh.
 
 Verdicts follow from duality.  An unbounded dual means an infeasible
 primal.  An infeasible dual means the primal is unbounded or infeasible;
@@ -34,7 +40,8 @@ Bland's, which cannot cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -63,6 +70,8 @@ class LpSolution:
     # the optimal dual basis, one row index per variable; None when phase
     # one deleted redundant rows and it is shorter
     basis: np.ndarray | None = None
+    # the factorised basis behind `basis`, for a solve that starts from this solution
+    _factors: "_Basis | None" = field(default=None, repr=False, compare=False)
 
 
 class _Basis:
@@ -82,12 +91,16 @@ class _Basis:
         """
         m, k = self.G.shape
         real = self.index < m
-        self.B = np.zeros((k, k))
-        self.B[:, real] = self.G[self.index[real]].T
-        art = self.index[~real] - m
-        self.B[art, np.flatnonzero(~real)] = self.sign[art]
+        if real.all():  # C order, as below, so that `start` sums its columns in the same order
+            self.B = np.ascontiguousarray(self.G[self.index].T)
+        else:
+            self.B = np.zeros((k, k))
+            self.B[:, real] = self.G[self.index[real]].T
+            art = self.index[~real] - m
+            self.B[art, np.flatnonzero(~real)] = self.sign[art]
         self.inv = np.linalg.inv(self.B)
         self.updates = 0
+        self.usable = None  # the start verdict of `start`, computed when first asked
 
     def pivot(self, r: int, j: int, d: np.ndarray) -> None:
         """Column j enters at row r, where d = B^-1 (column j) and d[r] > 0.
@@ -102,20 +115,41 @@ class _Basis:
             self.factor()
             return
         row = self.inv[r] / d[r]
-        self.inv -= np.outer(d, row)
+        self.inv -= d[:, None] * row
         self.inv[r] = row
 
+    def reuse(self, G: np.ndarray, b: np.ndarray, index: np.ndarray) -> bool:
+        """Take this basis over as the rows `index` of G, for  G^T y = b,  with
+        its factorisation, when that is the one a fresh factor would compute:
+        no pivot has updated the inverse since the last factor, and the rows
+        `index` of G and b are bitwise the ones it was factored from (-0.0 is
+        not 0.0).  The basis holds no artificial, as after phase two."""
+        if self.updates or G.shape != self.G.shape:
+            return False
+        if G[index].tobytes() != self.B.T.tobytes() or b.tobytes() != self.b.tobytes():
+            return False
+        self.G, self.b, self.index, self.iterations = G, b, index.copy(), 0
+        return True
+
     @classmethod
-    def start(cls, G: np.ndarray, b: np.ndarray, index: np.ndarray) -> "_Basis | None":
+    def start(cls, G: np.ndarray, b: np.ndarray, index: np.ndarray,
+              carried: "_Basis | None" = None) -> "_Basis | None":
         """The rows `index` of G as a basis; None when they are (nearly)
-        singular or their basic values are not >= 0."""
-        try:
-            basis = cls(G, b, index.copy())
-        except np.linalg.LinAlgError:
-            return None
-        cond = np.abs(basis.B).sum(axis=0).max() * np.abs(basis.inv).sum(axis=0).max()  # in the 1-norm
-        feasible = (basis.inv @ b).min() >= -_FEAS_TOL * (1.0 + np.abs(b).max())
-        return basis if cond < _COND_MAX and feasible else None
+        singular or their basic values are not >= 0.  `carried`, a basis of an
+        earlier solve, is taken over with its factorisation and its verdict
+        when `reuse` allows, and otherwise left as it is."""
+        if carried is not None and carried.reuse(G, b, index):
+            basis = carried
+        else:
+            try:
+                basis = cls(G, b, index.copy())
+            except np.linalg.LinAlgError:
+                return None
+        if basis.usable is None:
+            cond = np.abs(basis.B).sum(axis=0).max() * np.abs(basis.inv).sum(axis=0).max()  # in the 1-norm
+            feasible = (basis.inv @ b).min() >= -_FEAS_TOL * (1.0 + np.abs(b).max())
+            basis.usable = cond < _COND_MAX and feasible
+        return basis if basis.usable else None
 
     def run(self, cost: np.ndarray, max_iterations: int) -> tuple[str, float]:
         """Minimise cost.y from the current basis; the artificials are priced
@@ -129,27 +163,30 @@ class _Basis:
             v = inv.T @ cost_b
             red = cost - (G @ v if cost.size == m else np.append(G @ v, self.sign * v))
             red[self.index] = 0.0  # exactly, not up to the roundoff of a large cost
-            objective = float(cost_b @ x)
-            j = int(np.argmax(red < -_RED_TOL) if bland else np.argmin(red))
+            j = int((red < -_RED_TOL).argmax() if bland else red.argmin())
             if red[j] >= -_RED_TOL:
-                return OPTIMAL, objective
+                return OPTIMAL, float(cost_b @ x)
             d = inv @ G[j] if j < m else inv[:, j - m] * self.sign[j - m]
-            if not (d > _PIV_TOL).any():
-                if not (d > _PIV_MIN).any():
-                    return UNBOUNDED, objective
+            # the ratio test over the n entries, in Python floats
+            ds = d.tolist()
+            if not any(dr > _PIV_TOL for dr in ds):
+                if not any(dr > _PIV_MIN for dr in ds):
+                    return UNBOUNDED, float(cost_b @ x)
                 if bland:  # only numerically meaningless pivots remain in this column
-                    return NUMERICAL_FAILURE, objective
+                    return NUMERICAL_FAILURE, float(cost_b @ x)
                 bland = True
                 continue
-            ratios = np.where(d > _PIV_TOL, x / np.maximum(d, _PIV_TOL), np.inf)
-            ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
-            r = int(ties[np.argmin(self.index[ties])] if bland else ties[0])
-            degenerate_run = degenerate_run + 1 if x[r] <= 1e-12 else 0
-            bland = bland or degenerate_run > 5 * d.size
+            xs = x.tolist()
+            ratios = [xr / dr if dr > _PIV_TOL else inf for xr, dr in zip(xs, ds)]
+            least = min(ratios) + 1e-12
+            ties = [r for r, ratio in enumerate(ratios) if ratio <= least]
+            r = min(ties, key=self.index.__getitem__) if bland else ties[0]
+            degenerate_run = degenerate_run + 1 if xs[r] <= 1e-12 else 0
+            bland = bland or degenerate_run > 5 * len(ds)
             self.iterations += 1
             self.pivot(r, j, d)
             if self.iterations > max_iterations:
-                return NUMERICAL_FAILURE, objective
+                return NUMERICAL_FAILURE, float(cost_b @ x)
 
     def drop_artificials(self) -> None:
         """Pivot basic artificials out; delete the rows made redundant by them."""
@@ -172,10 +209,12 @@ class _Basis:
 
 
 def _solve_dual(
-    G: np.ndarray, h: np.ndarray, c: np.ndarray, max_iterations: int, start: np.ndarray | None = None
+    G: np.ndarray, h: np.ndarray, c: np.ndarray, max_iterations: int, start: np.ndarray | None = None,
+    carried: _Basis | None = None,
 ) -> tuple[str, _Basis]:
-    """min h.y s.t. G^T y = -c, y >= 0, from `start` if it is a feasible basis; the status is the dual's own."""
-    basis = None if start is None else _Basis.start(G, -c, start)
+    """min h.y s.t. G^T y = -c, y >= 0, from `start` (factorised as `carried`,
+    when given) if it is a feasible basis; the status is the dual's own."""
+    basis = None if start is None else _Basis.start(G, -c, start, carried)
     try:
         if basis is None:
             m, n = G.shape
@@ -194,13 +233,16 @@ def _solve_dual(
     return status, basis
 
 
-def solve(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
+def solve(lp: LinearProgram, start: np.ndarray | LpSolution | None = None) -> LpSolution:
     """Solve min c.v s.t. rows.v <= rhs with free v.
 
     `start` names one row per variable, for example the `basis` of an
     optimal solution of an LP of the same shape; when those rows make a
     feasible dual basis of this LP, the solve starts there and skips phase
-    one, and otherwise it runs from scratch.  After 20000 + 200 (m + n)
+    one, and otherwise it runs from scratch.  `start` may also be such a
+    solution itself: the solve then also reuses its factorised basis when
+    that is bitwise the one a fresh factor would give (`_Basis.reuse`), so
+    the pivots are those of a start from its `basis`.  After 20000 + 200 (m + n)
     pivots in all the solve gives up with a numerical failure.
     Deterministic: identical input yields an identical pivot path, solution
     and iteration count.
@@ -212,7 +254,10 @@ def solve(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
             return LpSolution(UNBOUNDED)
         return LpSolution(OPTIMAL, np.zeros(n), 0.0, 0)
     max_iterations = 20000 + 200 * (m + n)
-    status, basis = _solve_dual(G, h, c, max_iterations, start)
+    carried = None
+    if isinstance(start, LpSolution):
+        start, carried = start.basis, start._factors
+    status, basis = _solve_dual(G, h, c, max_iterations, start, carried)
     if status == OPTIMAL:
         B = basis.index
         if B.size == n:
@@ -220,7 +265,7 @@ def solve(lp: LinearProgram, start: np.ndarray | None = None) -> LpSolution:
                 x = np.linalg.solve(G[B], h[B])
             except np.linalg.LinAlgError:  # the ratio test let a near-zero pivot through
                 return LpSolution(NUMERICAL_FAILURE, iterations=basis.iterations)
-            return LpSolution(OPTIMAL, x, float(c @ x), basis.iterations, B)
+            return LpSolution(OPTIMAL, x, float(c @ x), basis.iterations, B.copy(), basis)
         x = np.linalg.lstsq(G[B], h[B], rcond=None)[0]
         return LpSolution(OPTIMAL, x, float(c @ x), basis.iterations)
     if status == UNBOUNDED:

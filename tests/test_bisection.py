@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quasifit.bisection
+from quasifit import simplex
 from quasifit.bisection import FitError, certify_bracket, expected_iterations, fit
 from quasifit.cli import _build_model
 from quasifit.expr import parse
@@ -220,13 +221,26 @@ def test_fit_evaluates_each_basis_once_for_its_levels(monkeypatch):
             assert len(calls) == per_fit, (model.denominator, eps, res.iterations)
 
 
+_X5 = {"variables": ["x"], "target": "x^5", "grid": {"lower": [-1.0], "upper": [1.0], "step": [0.01]},
+       "model": {"outer": "identity", "numerator_basis": ["1", "x", "x^2", "x^3", "x^4"]},
+       "solver": {"epsilon": 1e-6}}
+
+
+def _benchmark(name):
+    """(model, sampled target, epsilon) of a benchmark fit: a committed config, or the x^5 fit."""
+    if name == "x^5":
+        config = _X5
+    else:
+        config = json.loads((Path(__file__).parent.parent / "configs" / f"{name}.json").read_text())
+    model, target, grid = _build_model(config)
+    return model, sample(target, grid, model.variables), config["solver"]["epsilon"]
+
+
 @pytest.mark.parametrize("name", ["benchmark_affine_cubed", "benchmark_rational_cubed"])
 def test_fit_validates_one_level_lp(monkeypatch, name):
     # the level LP is laid out and validated once per fit and refilled in
     # place at each level, not built anew per level
-    config = json.loads((Path(__file__).parent.parent / "configs" / f"{name}.json").read_text())
-    model, target, grid = _build_model(config)
-    f = sample(target, grid, model.variables)
+    model, f, eps = _benchmark(name)
     validate, built = LinearProgram.__post_init__, []
 
     def counted(lp):
@@ -234,7 +248,7 @@ def test_fit_validates_one_level_lp(monkeypatch, name):
         validate(lp)
 
     monkeypatch.setattr(LinearProgram, "__post_init__", counted)
-    res = fit(model, f, epsilon=config["solver"]["epsilon"])
+    res = fit(model, f, epsilon=eps)
     assert res.iterations == 27
     assert len(built) == 1
 
@@ -521,3 +535,63 @@ def test_witness_above_the_upper_end_is_a_fit_error():
     assert len(f.values) == 1001
     with pytest.raises(FitError, match=r"deviate by [0-9.e-]+, above the upper end upper=[0-9.e-]+ by [0-9.e-]+$"):
         fit(model, f, epsilon=1e-9)
+
+
+def _bits(result):
+    """Everything of a fit that a start basis could move, as exact bits."""
+    coefficients = result.coefficients.numerator + (result.coefficients.denominator or ())
+    return ([v.hex() for v in coefficients], result.lower.hex(), result.upper.hex(),
+            result.achieved_deviation.hex(),
+            [(t.z.hex(), t.feasible, t.lp_objective.hex(), t.pivots) for t in result.trace])
+
+
+@pytest.mark.parametrize("name", ["benchmark_affine_cubed", "benchmark_rational_cubed", "x^5"])
+def test_reused_factorisations_give_the_fit_of_index_starts(name):
+    # a level reuses the last level's factorised basis only when it is
+    # bitwise the one a fresh factor would give, so nothing moves
+    model, f, eps = _benchmark(name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quasifit.bisection, "solve",
+                   lambda lp, start=None: solve(lp, start=None if start is None else start.basis))
+        indexed = fit(model, f, epsilon=eps)
+    assert _bits(fit(model, f, epsilon=eps)) == _bits(indexed)
+
+
+@pytest.mark.parametrize("name, factors", [("benchmark_affine_cubed", 10), ("benchmark_rational_cubed", 47),
+                                           ("x^5", 4)])
+def test_fit_factors_a_basis_only_when_it_changed(monkeypatch, name, factors):
+    # affine levels share their rows, so a level refactors only after
+    # pivots; a rational level rewrites the denominator columns of its level
+    # rows, so nearly every level does
+    model, f, eps = _benchmark(name)
+    calls = []
+    factor = simplex._Basis.factor
+
+    def counted(self):
+        calls.append(self)
+        factor(self)
+
+    monkeypatch.setattr(simplex._Basis, "factor", counted)
+    res = fit(model, f, epsilon=eps)
+    assert res.iterations == expected_iterations(float(np.max(np.abs(f.values))), eps)
+    assert len(calls) == factors
+
+
+def test_every_level_starts_from_a_fresh_inverse(monkeypatch):
+    # whether reused or not, the inverse a level starts from is bitwise
+    # np.linalg.inv of its basis matrix laid out afresh
+    model, f, eps = _benchmark("benchmark_affine_cubed")
+    checked = []
+    start = simplex._Basis.start.__func__
+
+    def fresh(cls, G, b, index, carried=None):
+        basis = start(cls, G, b, index, carried)
+        if basis is not None:
+            B = np.zeros((G.shape[1], G.shape[1]))
+            B[:, :] = G[index].T
+            checked.append(basis.inv.tobytes() == np.linalg.inv(B).tobytes())
+        return basis
+
+    monkeypatch.setattr(simplex._Basis, "start", classmethod(fresh))
+    res = fit(model, f, epsilon=eps)
+    assert checked == [True] * (res.iterations - 1)

@@ -339,3 +339,103 @@ def test_updated_inverse_stays_an_inverse(monkeypatch):
     assert sol.status == OPTIMAL
     assert len(drifts) == sol.iterations > 0
     assert max(drifts) <= 1e-9
+
+
+def _factor_calls(monkeypatch):
+    """The number of `_Basis.factor` calls from here on, in a one-item list."""
+    calls = [0]
+    factor = simplex._Basis.factor
+
+    def counted(self):
+        calls[0] += 1
+        factor(self)
+
+    monkeypatch.setattr(simplex._Basis, "factor", counted)
+    return calls
+
+
+def _same_solve(a, b):
+    assert (a.status, a.objective, a.iterations) == (b.status, b.objective, b.iterations)
+    assert np.array_equal(a.solution, b.solution) and np.array_equal(a.basis, b.basis)
+
+
+def test_start_from_a_solution_reuses_its_factorisation(monkeypatch):
+    lp = _lp(*_BOX)
+    warm = solve(lp, start=solve(lp).basis)
+    calls = _factor_calls(monkeypatch)
+    again = solve(lp, start=warm)
+    assert calls == [0]
+    _same_solve(again, warm)
+    # a solution's basis is its own array, not the one the next solve pivots
+    assert not np.shares_memory(again.basis, warm.basis)
+    assert not np.shares_memory(again.basis, again._factors.index)
+
+
+@pytest.mark.parametrize("rewrite", ["negative zero", "scaled"])
+def test_no_reuse_of_a_rewritten_basis_row(monkeypatch, rewrite):
+    c, rows, rhs = _BOX
+    rows = np.array(rows)
+    lp = _lp(c, rows, rhs)
+    warm = solve(lp, start=solve(lp).basis)
+    row = rows[warm.basis[0]]  # (1, 0), rewritten in place under the LP
+    if rewrite == "negative zero":
+        row[row == 0.0] = -0.0  # the same numbers, other bits
+    else:
+        row *= 2.0
+    calls = _factor_calls(monkeypatch)
+    carried = solve(lp, start=warm)
+    assert calls == [1]
+    _same_solve(carried, solve(lp, start=warm.basis))
+    assert carried.objective == (-2.0 if rewrite == "negative zero" else -1.5)
+
+
+# min -v1 - v2 - v3 on the unit cube cut by two oblique rows; its optimal
+# basis is rows {7, 1, 6}
+_CUT_CUBE = ([-1.0, -1.0, -1.0], np.vstack([np.eye(3), -np.eye(3), [[0.1, 0.3, 0.7], [0.6, 0.2, 0.4]]]),
+             [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.05, 1.0])
+
+
+def test_start_from_a_solution_leaves_its_basis_alone(monkeypatch):
+    # as from one affine level to the next, only the rhs moves: the second
+    # LP takes the first solution's factorisation over and pivots twice
+    c, rows, rhs = _CUT_CUBE
+    lp = _lp(c, rows, rhs)
+    first = solve(lp, start=solve(lp).basis)
+    assert first.basis.tolist() == [7, 1, 6]
+    moved = _lp(c, rows, rhs[:6] + [2.0, 2.0])  # the oblique rows no longer bind
+    calls = _factor_calls(monkeypatch)
+    second = solve(moved, start=first)
+    assert calls == [0] and second.iterations == 2
+    assert first.basis.tolist() == [7, 1, 6]
+    _same_solve(second, solve(moved, start=first.basis))
+
+
+def test_no_reuse_of_an_updated_inverse(monkeypatch):
+    # row 2 enters in place of row 7 and row 7 comes back: the basis and its
+    # rows are those factored, but the inverse holds two rank-one updates
+    # and is no longer bitwise a fresh one
+    c, rows, rhs = _CUT_CUBE
+    lp = _lp(c, rows, rhs)
+    updated = solve(lp, start=solve(lp).basis)
+    basis = updated._factors
+    fresh = basis.inv.copy()
+    for j in (2, 7):
+        basis.pivot(0, j, basis.inv @ rows[j])
+    assert basis.index.tolist() == [7, 1, 6] and basis.updates == 2
+    assert basis.inv.tobytes() != fresh.tobytes()
+    calls = _factor_calls(monkeypatch)
+    carried = solve(lp, start=updated)
+    assert calls == [1]
+    _same_solve(carried, solve(lp, start=updated.basis))
+    assert carried.iterations == 0
+
+
+def test_no_reuse_for_another_objective(monkeypatch):
+    # the feasibility verdict of a factorisation holds for its own -c only
+    c, rows, rhs = _CUT_CUBE
+    first = solve(_lp(c, rows, rhs), start=solve(_lp(c, rows, rhs)).basis)
+    steeper = _lp([-1.0, -1.0, -2.0], rows, rhs)
+    calls = _factor_calls(monkeypatch)
+    carried = solve(steeper, start=first)
+    assert calls[0] >= 1
+    _same_solve(carried, solve(steeper, start=first.basis))

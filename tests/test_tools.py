@@ -121,3 +121,20 @@ def test_same_outputs_compares_report_outputs():
 def test_same_outputs_runs_every_benchmark_workload():
     declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["workloads"]
     assert list(same_outputs.WORKLOADS) == [w["name"] for w in declared]
+
+
+def test_same_outputs_compares_traced_counts():
+    def report(layers):
+        return {"traced_rounds": [{"layers": layers}]}
+
+    base = report({"simplex.pivots": 188, "simplex.solve_calls": 74, "simplex.solve_s": 0.0125,
+                   "simplex.tableau_mb": 0.5, "grid.sample_calls": 3})
+    assert same_outputs.count_differences("w", base, base) == []
+    # times and sizes may differ; every count must not
+    change = report({"simplex.pivots": 190, "simplex.solve_calls": 74, "simplex.solve_s": 0.0113,
+                     "simplex.tableau_mb": 0.25, "bisection.levels": 74})
+    assert same_outputs.count_differences("w", base, change) == [
+        "w traced counts['bisection.levels']: None against 74",
+        "w traced counts['grid.sample_calls']: 3 against None",
+        "w traced counts['simplex.pivots']: 188 against 190",
+    ]

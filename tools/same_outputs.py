@@ -4,15 +4,19 @@
 
 Exports REV and copies the working tree as `tools/bench_pairs.py` does, into
 sibling directories `base` and `work` of a temporary directory. In each copy
-it runs one round of each of WORKLOADS (`perfbench/workload.py --seed 1
---seconds 0.01`), each in an empty working directory with its report
-written outside it. The working directories hold every config, result
-JSON, surface CSV and residual CSV the round writes. It then compares the
-two sides' files byte for byte, and the reports' `outputs` as parsed JSON:
-the fine deviations and the `verify` report of the fit workloads, and every
-enumerated family and the four `convexity` CLI answers of `convexity-enum`.
-Every difference is printed, a file on one side only included; the
-exit status is 1 when there is any, else 0. Standard library only.
+it runs one untraced and one traced round of each of WORKLOADS
+(`perfbench/workload.py --seed 1 --seconds 0.01 --trace 1`), each in an
+empty working directory with its report written outside it. The working
+directories hold every config, result JSON, surface CSV and residual CSV the
+rounds write. It then compares the two sides' files byte for byte, the
+reports' `outputs` as parsed JSON (the fine deviations and the `verify`
+report of the fit workloads, and every enumerated family and the four
+`convexity` CLI answers of `convexity-enum`), and the integer counts of the
+traced round's layers: pivots, LP solves and rows, bisection levels and
+the call counts it reports, so a change of pivot path shows even when the
+outputs stay the same. Every difference is printed, a file on one side
+only included, and then each workload's counts; the exit status is 1 when
+there is any difference, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ WORKLOADS = ("fit-benchmarks", "coarse-to-fine", "convexity-enum")
 
 
 def run_round(checkout: Path, workload: str, workdir: Path, report: Path) -> dict:
-    """One seeded round of `workload` in `checkout`, its files written under `workdir`; its report."""
+    """One untraced and one traced seeded round of `workload` in `checkout`, its files written under
+    `workdir`; its report."""
     workdir.mkdir(parents=True)
     subprocess.run([sys.executable, "perfbench/workload.py", "--workload", workload, "--seed", "1",
-                    "--seconds", "0.01", "--workdir", str(workdir), "--report", str(report)],
+                    "--seconds", "0.01", "--trace", "1", "--workdir", str(workdir), "--report", str(report)],
                    cwd=checkout, check=True)
     return json.loads(report.read_text())
 
@@ -61,6 +66,19 @@ def output_differences(workload: str, base: dict, change: dict) -> list[str]:
     return lines
 
 
+def counts(report: dict) -> dict[str, int]:
+    """The integer layer metrics of a report's first traced round."""
+    layers = report["traced_rounds"][0]["layers"]
+    return {key: value for key, value in layers.items() if type(value) is int}
+
+
+def count_differences(workload: str, base: dict, change: dict) -> list[str]:
+    """The counts of two reports' first traced rounds that differ, a count on one side only included."""
+    a, b = counts(base), counts(change)
+    return [f"{workload} traced counts[{key!r}]: {a.get(key)} against {b.get(key)}"
+            for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+
+
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, metavar="REV", help="the revision to compare against")
@@ -71,15 +89,17 @@ def main(argv: list[str] | None = None) -> int:
         export(args.base, checkouts["base"])
         copy_worktree(checkouts["change"])
         outs = {side: Path(tmp) / "out" / path.name for side, path in checkouts.items()}
-        lines = []
+        lines, summary = [], []
         for w in WORKLOADS:
             reports = {side: run_round(checkouts[side], w, outs[side] / w, Path(tmp) / f"{side}-{w}.json")
                        for side in checkouts}
             lines += output_differences(w, reports["base"], reports["change"])
+            lines += count_differences(w, reports["base"], reports["change"])
+            summary.append(f"{w} counts: " + " ".join(f"{k}={v}" for k, v in sorted(counts(reports["change"]).items())))
         lines += file_differences(outs["base"], outs["change"])
         count = sum(1 for p in outs["change"].rglob("*") if p.is_file())
 
-    for line in lines:
+    for line in lines + summary:
         print(line)
     print(f"{len(lines)} difference(s) against {args.base}; {count} files compared")
     return 1 if lines else 0
