@@ -7,20 +7,24 @@ per-axis lower/upper bounds and step sizes, with both endpoints included.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .expr import EvaluationError, Expression, _evaluator, _product
 from .floattext import WIDTH, repr_bytes
+from .worker import WORKER
 
 __all__ = ["Grid", "SampledFunction", "enumerate_points", "evaluate_columns", "sample", "export_csv", "write_csv"]
 
 # rows per block of CSV output: every temporary of the writer has this many
-# rows, never a whole column
-_CSV_BLOCK_ROWS = 4096
+# rows, never a whole column; a block's slots and the worker's compress of
+# them, with the next block's texts in the making, stay under 2 MB on a
+# 160,801-point grid
+_CSV_BLOCK_ROWS = 3072
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,12 @@ def enumerate_points(grid: Grid) -> np.ndarray:
     Coordinates are computed as lower + k * step rather than by cumulative
     addition, so enumeration is bit-stable.
     """
-    axes = [
-        lo + np.arange(count, dtype=float) * st
-        for lo, st, count in zip(grid.lower, grid.step, grid.axis_counts())
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    counts = grid.axis_counts()
+    pts = np.empty((*counts, grid.dimension))
+    for k, (lo, st, count) in enumerate(zip(grid.lower, grid.step, counts)):
+        axis = lo + np.arange(count, dtype=float) * st
+        pts[..., k] = axis.reshape([-1 if j == k else 1 for j in range(len(counts))])  # broadcast to every point
+    pts = pts.reshape(-1, grid.dimension)
     pts.setflags(write=False)
     return pts
 
@@ -85,7 +89,6 @@ class SampledFunction:
 
     points: np.ndarray  # (N, d)
     values: np.ndarray  # (N,)
-    grid: Grid | None = field(default=None)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -96,9 +99,6 @@ class SampledFunction:
             raise ValueError("points must be finite")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        if self.grid is not None:
-            if pts.shape != (self.grid.cardinality(), self.grid.dimension):
-                raise ValueError("points do not match the attached grid's enumeration")
         for name, arr in (("points", pts), ("values", vals)):
             arr = arr.view()
             arr.setflags(write=False)
@@ -120,7 +120,7 @@ class SampledFunction:
 def sample(f: Expression, grid: Grid, variables: Sequence[str]) -> SampledFunction:
     """Evaluate `f` at every grid point, in enumeration order."""
     pts = enumerate_points(grid)
-    return SampledFunction(pts, next(evaluate_columns([f], variables, pts)), grid)
+    return SampledFunction(pts, next(evaluate_columns([f], variables, pts)))
 
 
 def evaluate_columns(fs: Sequence[Expression], variables: Sequence[str], points: np.ndarray) -> Iterator[np.ndarray]:
@@ -162,13 +162,29 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
     computes them in numpy, with Schubfach's shortest digits (Giulietti,
     2020), each text zero-padded to a fixed width.  Rows go out in blocks
     of `_CSV_BLOCK_ROWS`, and each block's cells are formatted in one call.
+    A block's texts sit in fixed-width slots, each ending in its separator,
+    and one boolean compress drops the padding, so the block is written as
+    one string and every temporary holds a block or an axis, never a whole
+    column.
+
     When the points enumerate a Cartesian product, as a grid's do
     (`expr._product`), each axis value is formatted once, in the first
-    block's call, and each block gathers the axis texts by row index; a
-    later block with no value columns formats nothing.  A block's texts
-    sit in fixed-width slots, each ending in its separator, and one boolean
-    compress drops the padding, so the block is written as one string and
-    every temporary holds a block or an axis, never a whole column.
+    block's call, and an axis's slots are only as wide as its longest text.
+    An axis's column repeats its period: each text in a run as long as the
+    axes after it have points.  A block copies the axis's cells as one
+    slice of that period, tiled to a block past it but never past the
+    table's rows, or else, where the period is longer than a block and its
+    runs longer than a row, run by run, each broadcast from its one text;
+    a table of one block broadcasts every run at once.  A later block with
+    no value columns formats nothing.
+
+    While the caller formats the next block, `worker.WORKER` compresses
+    and writes the one in the slots; the caller waits for that write before
+    it fills the slots again, which costs no time, as formatting a block
+    takes several times as long.  The caller writes the last block itself,
+    so a one-block table never leaves the calling thread.  The bytes and
+    their order are those of a row-by-row writer.  When a write raises,
+    nothing is written after it, and `write_csv` raises that exception.
     """
     names = [f"x{i + 1}" for i in range(points.shape[1])]
     out.write(",".join(names + list(columns)) + "\n")
@@ -178,23 +194,78 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
     repeated = [(j, a.reshape(-1), math.prod(counts[j + 1 :])) for j, a in enumerate(axes.values()) if a.size < n]
     whole = [(j, a.reshape(-1)) for j, a in enumerate(axes.values()) if a.size == n]
     whole += [(len(names) + j, np.asarray(c, dtype=float)) for j, c in enumerate(columns.values())]
-    slots = np.zeros((min(n, _CSV_BLOCK_ROWS), len(names) + len(columns), WIDTH + 1), np.uint8)
-    slots[:, :, WIDTH] = ord(",")
-    slots[:, -1, WIDTH] = ord("\n")
-    for start in range(0, n, _CSV_BLOCK_ROWS):
-        rows = min(n - start, _CSV_BLOCK_ROWS)
-        cells = [c[start : start + rows] for _, c in whole]
-        if start == 0:  # the axes' values go into the first block's call
-            cells += [a for _, a, _ in repeated]
-        block = slots[:rows]
-        if cells:  # a later block of a grid with no value columns has only axis texts
-            texts = repr_bytes(np.concatenate(cells))
-            for i, (j, _) in enumerate(whole):
-                block[:, j, :WIDTH] = texts[i * rows : (i + 1) * rows]
+    job = None  # the worker's write of the block in the slots
+    try:
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            rows = min(n - start, _CSV_BLOCK_ROWS)
+            cells = [c[start : start + rows] for _, c in whole]
+            if start == 0:  # the axes' values go into the first block's call
+                cells += [a for _, a, _ in repeated]
+            # a later block of a grid with no value columns has only axis texts
+            texts = repr_bytes(np.concatenate(cells)) if cells else None
             if start == 0:
-                axis_texts = texts[rows * len(whole) :].copy()
-        index, offset = np.arange(start, start + rows), 0
-        for j, a, run in repeated:
-            block[:, j, :WIDTH] = axis_texts.take(offset + index // run % a.size, axis=0)
-            offset += a.size
-        out.write(str(block[block > 0], "ascii"))
+                slots, slot, axis_cells = _csv_slots(texts[rows * len(whole) :], repeated, len(names) + len(columns), n)
+            if job is not None:  # a failed write raises here, before anything more is written
+                job.result()
+            block = slots[:rows]
+            for i, (j, _) in enumerate(whole):
+                block[:, slot[j]] = texts[i * rows : (i + 1) * rows]
+            del texts  # not held while the next block's are made
+            for j, axis in axis_cells:
+                axis.fill(block[:, slot[j]], start)
+            if start + rows < n:
+                job = WORKER.submit(_write_block, out, block)
+            else:
+                _write_block(out, block)
+    finally:  # the worker touches neither `out` nor the slots once `write_csv` returns or raises
+        if job is not None:
+            job.wait()
+
+
+def _csv_slots(axis_texts: np.ndarray, repeated: list, columns: int, rows: int) -> tuple:
+    """A block's slots for a `write_csv` table of `rows` rows, each column's slice of them,
+    and the cells of each repeated axis, from the axes' texts.  A value column's slot is
+    `WIDTH` wide, a repeated axis's as wide as its longest text; each ends in its separator."""
+    widths, axis_cells, offset = [WIDTH] * columns, [], 0
+    lengths = np.count_nonzero(axis_texts, axis=1)
+    for j, a, run in repeated:
+        widths[j] = int(lengths[offset : offset + a.size].max())
+        axis_cells.append((j, _AxisCells(axis_texts[offset : offset + a.size, : widths[j]], run, rows)))
+        offset += a.size
+    ends = list(itertools.accumulate(w + 1 for w in widths))
+    slots = np.zeros((min(rows, _CSV_BLOCK_ROWS), ends[-1]), np.uint8)
+    slots[:, [end - 1 for end in ends]] = ord(",")
+    slots[:, -1] = ord("\n")
+    return slots, [slice(end - w - 1, end - 1) for end, w in zip(ends, widths)], axis_cells
+
+
+class _AxisCells:
+    """The cells of one repeated axis of a `write_csv` table of `rows` rows."""
+
+    def __init__(self, texts: np.ndarray, run: int, rows: int):
+        self.run, self.period = run, run * len(texts)
+        self.texts = self.table = None
+        if rows <= _CSV_BLOCK_ROWS:  # one block: its runs at once
+            self.texts = texts
+        elif run == 1 or self.period <= _CSV_BLOCK_ROWS:  # the table is at most an axis and a block long
+            tiled = min(rows, self.period - 1 + _CSV_BLOCK_ROWS)
+            self.table = np.resize(np.repeat(texts, run, axis=0), (tiled, texts.shape[1]))
+        else:
+            self.texts = texts.copy()  # not a view of the first block's texts
+
+    def fill(self, cells: np.ndarray, start: int) -> None:
+        """The axis's column from row `start` on, into `cells`."""
+        if self.table is not None:
+            first = start % self.period
+            cells[...] = self.table[first : first + len(cells)]
+        elif len(cells) < self.period:  # a block within a longer period
+            run = self.run
+            for r in range(start // run, (start + len(cells) - 1) // run + 1):
+                cells[max(r * run - start, 0) : (r + 1) * run - start] = self.texts[r % len(self.texts)]
+        else:  # the table's one block: whole periods
+            cells.reshape(-1, len(self.texts), self.run, cells.shape[1])[...] = self.texts[:, None]
+
+
+def _write_block(out: TextIO, block: np.ndarray) -> None:
+    """A block's texts, their padding dropped, as one string."""
+    out.write(str(block[block > 0], "ascii"))

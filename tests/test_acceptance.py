@@ -101,10 +101,9 @@ def exp2_fits(square_samples):
 
 @pytest.fixture(scope="module")
 def abs_fit():
-    grid = Grid((-1.0,), (1.0,), (0.01,))
-    pts = enumerate_points(grid)
+    pts = enumerate_points(Grid((-1.0,), (1.0,), (0.01,)))
     assert pts.shape[0] == 201
-    f = SampledFunction(pts, np.abs(pts[:, 0]), grid)
+    f = SampledFunction(pts, np.abs(pts[:, 0]))
     model = ModelClass(
         ("x",), MonotoneOuter.identity(), BasisSpec.from_sources(["1", "x"], ["x"])
     )

@@ -358,6 +358,43 @@ def test_power_is_libm_pow_on_ordinary_bases(exponent):
     assert np.array_equal(power(bases, exponent).view(np.int64), expected.view(np.int64))
 
 
+def _split_power_bases(size):
+    """Ordinary bases, and among them negative ones, both zeros, and some whose third power overflows."""
+    rng = np.random.default_rng(size)
+    special = np.array([-8.0, -1e-300, 0.0, -0.0, 1e200, -1e200, 5e-324, -5e-324])
+    bases = rng.standard_normal(size) * 10.0 ** rng.integers(-150, 150, size)
+    bases[rng.choice(size, 4 * special.size, replace=False)] = np.tile(special, 4)
+    return bases
+
+
+def _layouts(bases):
+    """The bases as a 1-D array, two 2-D arrays (C and Fortran order) and every other element of a longer one."""
+    rows = next(d for d in range(3, bases.size) if bases.size % d == 0)
+    wide = np.empty(2 * bases.size)
+    wide[::2] = bases
+    return {"1-D": bases, "2-D": bases.reshape(rows, -1), "2-D transposed": bases.reshape(-1, rows).T,
+            "strided": wide[::2]}
+
+
+# below, at and above the size from which the worker computes half of the pows, and an odd size
+@pytest.mark.parametrize("size", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 3])
+@pytest.mark.parametrize("exponent", [1 / 3, 3, -3, -2])
+def test_power_split_across_threads_is_the_one_call_power(size, exponent, monkeypatch):
+    # negative bases at 1/3 give nan, 1e200 cubed overflows to ±inf, and a zero at a negative
+    # exponent gives ±inf; none of it may warn in either thread, as warnings are errors here
+    submitted = []
+    submit = quasifit.expr.WORKER.submit
+    monkeypatch.setattr(quasifit.expr.WORKER, "submit", lambda *args: submitted.append(args) or submit(*args))
+    for name, bases in _layouts(_split_power_bases(size)).items():
+        with np.errstate(all="ignore"):
+            expected = np.float_power(bases, exponent)
+        got = power(bases, exponent)
+        assert got.shape == bases.shape and got.dtype == np.float64, name
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
+    assert len(submitted) == 4 * (size >= 2**15)
+    assert expected.size == size and not np.isfinite(expected).all()
+
+
 def test_power_overflow_names_its_first_element():
     # an infinite base is no overflow; the first finite one whose power is infinite is
     with pytest.raises(EvaluationError) as err:

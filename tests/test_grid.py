@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import quasifit.expr
+import quasifit.grid
 from quasifit import cli
 from quasifit.expr import EvaluationError, parse, power
 from quasifit.grid import Grid, SampledFunction, enumerate_points, evaluate_columns, export_csv, sample, write_csv
@@ -41,6 +43,21 @@ def test_lexicographic_order_last_axis_fastest():
     pts = enumerate_points(g)
     expected = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
     assert [tuple(p) for p in pts] == [(float(a), float(b)) for a, b in expected]
+
+
+@pytest.mark.parametrize("grid", [
+    Grid((-1.0,), (1.0,), (0.1,)),
+    Grid((-1.0, -1.0), (1.0, 1.0), (0.005, 0.005)),
+    Grid((-3.0, 0.0, 0.5), (3.0, 0.0, 2.0), (0.7, 1.0, 0.25)),
+    Grid((-0.0, 1e-310, -2.0), (0.3, 1e-300, -1.5), (0.1, 3e-301, 0.1)),
+])
+def test_enumeration_is_the_meshgrid_of_the_axes_byte_for_byte(grid):
+    axes = [lo + np.arange(count, dtype=float) * st
+            for lo, st, count in zip(grid.lower, grid.step, grid.axis_counts())]
+    expected = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    pts = enumerate_points(grid)
+    assert pts.shape == expected.shape and pts.flags.c_contiguous and not pts.flags.writeable
+    assert pts.tobytes() == expected.tobytes()
 
 
 def test_endpoint_inclusion_within_tolerance():
@@ -201,18 +218,11 @@ def test_point_cloud_constructor():
     sf = SampledFunction.from_points([(0.0, 0.0), (0.5, 1.0)], [1.0, 2.0])
     assert sf.dimension == 2
     assert len(sf) == 2
-    assert sf.grid is None
 
 
 def test_values_must_be_finite():
     with pytest.raises(ValueError):
         SampledFunction.from_points([(0.0,)], [float("inf")])
-
-
-def test_attached_grid_must_match_points():
-    g = Grid((0.0,), (1.0,), (0.5,))  # 3 points
-    with pytest.raises(ValueError):
-        SampledFunction(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), g)
 
 
 def test_sampled_arrays_are_read_only():
@@ -269,7 +279,13 @@ def _assert_same_text(got, expected):
     assert len(got) == len(expected) and got == expected
 
 
-@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+# block boundaries: a table one row short of a block, one block, one row over, and the
+# first row of a third and of a fourth block, so that both slot buffers get reused
+_B = quasifit.grid._CSV_BLOCK_ROWS
+_BLOCK_EDGES = [_B - 1, _B, _B + 1, 2 * _B + 1, 3 * _B + 1]
+
+
+@pytest.mark.parametrize("rows", sorted({0, 1, 4095, 4096, 4097, 8193, *_BLOCK_EDGES}))
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_write_csv_matches_row_by_row_writer(rows, dim):
     rng = np.random.default_rng(10 * rows + dim)
@@ -287,30 +303,87 @@ _GRID_COUNTS = {4095: ((63, 65), (9, 5, 91)), 4096: ((64, 64), (16, 16, 16)),
                 4097: ((17, 241), (1, 17, 241)), 8193: ((3, 2731), (3, 1, 2731))}
 
 
+def _grid_counts(rows):
+    """The axis counts of a 2-D and a 3-D grid of `rows` points: the largest divisor up to
+    the square root, then the same again for the larger factor (1 for a prime)."""
+    if rows in _GRID_COUNTS:
+        return _GRID_COUNTS[rows]
+    first = max(d for d in range(1, math.isqrt(rows) + 1) if rows % d == 0)
+    rest = rows // first
+    second = max(d for d in range(1, math.isqrt(rest) + 1) if rest % d == 0)
+    return (first, rest), (first, second, rest // second)
+
+
 def _with_zeros_and_subnormals(rng, size):
     """Distinct values, both zeros and four subnormals among them, in random order."""
     special = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310]
     return rng.permutation(np.concatenate([special, rng.standard_normal(max(0, size - 6))]))[:size]
 
 
-@pytest.mark.parametrize("rows", sorted(_GRID_COUNTS))
+@pytest.mark.parametrize("rows", sorted({*_GRID_COUNTS, *_BLOCK_EDGES}))
 @pytest.mark.parametrize("points_kind", ["grid-1d", "grid-2d", "grid-3d", "shuffled-grid", "cloud"])
 def test_write_csv_on_grids_matches_row_by_row_writer(rows, points_kind):
     rng = np.random.default_rng(rows)
     if points_kind == "cloud":
         points = _tricky_table(rng, rows, 2)
     else:
-        counts = {"grid-1d": (rows,), "grid-3d": _GRID_COUNTS[rows][1]}.get(points_kind, _GRID_COUNTS[rows][0])
+        counts = {"grid-1d": (rows,), "grid-3d": _grid_counts(rows)[1]}.get(points_kind, _grid_counts(rows)[0])
         points = np.array(list(itertools.product(*(_with_zeros_and_subnormals(rng, n) for n in counts))))
         if points_kind == "shuffled-grid":
             points = rng.permutation(points)
-        # the writer repeats axis texts on the grids, and only there
+        # the writer repeats axis texts on the grids, and only there; shuffled, a grid of a
+        # prime count, whose one axis of more than one value takes every point, is one still
         found = quasifit.expr._product(dict(enumerate(points.T)), rows)[1]
-        assert (found == counts) == (points_kind != "shuffled-grid")
+        assert (found == counts) == (points_kind != "shuffled-grid" or max(counts) == rows)
     columns = {"f": _with_zeros_and_subnormals(rng, rows), "g": rng.choice([0.0, -0.0, 5e-324, 1.5], rows)}
     _assert_same_text(_csv_text(write_csv, points, columns), _csv_text(_reference_write_csv, points, columns))
     # no value columns: past the first block a grid's rows are only gathered axis texts
     _assert_same_text(_csv_text(write_csv, points, {}), _csv_text(_reference_write_csv, points, {}))
+
+
+@pytest.mark.parametrize("rows", [_B, 3 * _B + 1])
+def test_write_csv_raises_a_failed_write_and_writes_nothing_after_it(rows):
+    # the header is the first write and the first block the second: on a table of several
+    # blocks it is written beside the caller, and the blocks after it must not be
+    table = _tricky_table(np.random.default_rng(rows), rows, 3)
+    points, columns = table[:, :2], {"f": table[:, 2]}
+
+    class FailsOnSecondWrite:
+        def __init__(self):
+            self.calls, self.error = 0, OSError("no space left")
+
+        def write(self, text):
+            self.calls += 1
+            if self.calls == 2:
+                raise self.error
+            return len(text)
+
+    sink = FailsOnSecondWrite()
+    with pytest.raises(OSError) as raised:
+        write_csv(sink, points, columns)
+    assert raised.value is sink.error
+    assert sink.calls == 2
+    _assert_same_text(_csv_text(write_csv, points, columns), _csv_text(_reference_write_csv, points, columns))
+
+
+def test_write_csv_reads_an_axis_table_to_its_last_row():
+    # on a 3 x (B + 1) grid the second block starts at the last row of the last axis's period and
+    # takes a whole block, so it reads the tiled table of that axis to its last row
+    rng = np.random.default_rng(_B)
+    points = np.array(list(itertools.product(*(_with_zeros_and_subnormals(rng, n) for n in (3, _B + 1)))))
+    columns = {"f": _with_zeros_and_subnormals(rng, len(points))}
+    _assert_same_text(_csv_text(write_csv, points, columns), _csv_text(_reference_write_csv, points, columns))
+
+
+@pytest.mark.parametrize("rows", [1, _B, _B + 1, 3 * _B + 1])
+def test_write_csv_hands_the_worker_every_block_but_the_last(rows, monkeypatch):
+    submitted = []
+    submit = quasifit.grid.WORKER.submit
+    monkeypatch.setattr(quasifit.grid.WORKER, "submit", lambda *args: submitted.append(args) or submit(*args))
+    table = _tricky_table(np.random.default_rng(rows), rows, 3)
+    _assert_same_text(_csv_text(write_csv, table[:, :2], {"f": table[:, 2]}),
+                      _csv_text(_reference_write_csv, table[:, :2], {"f": table[:, 2]}))
+    assert len(submitted) == -(-rows // _B) - 1
 
 
 def test_write_csv_holds_a_block_not_a_column():
