@@ -12,6 +12,12 @@ large to hold in memory, and `evaluation` for a target or basis that fails
 or is not finite at a grid point;
 3 `infeasible_start` for a default denominator below the positivity margin;
 4 `solver` for a failed LP oracle or a fitted denominator below the margin.
+
+What loads when: importing this module loads neither half of the package.
+`convexity` imports `axiomatic` when it runs; `fit` and `verify` call
+`_fit_pipeline`, which imports the fitting pipeline once and binds the names
+of `_FIT_PIPELINE` as globals of this module (`cli.fit`, `cli.sample`, ...).
+Reading one of those names before any command runs loads it the same way.
 """
 
 from __future__ import annotations
@@ -28,24 +34,17 @@ from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
-from . import axiomatic
-from .bisection import FitError, fit
-from .expr import EvaluationError, ExprError, parse
-from .grid import Grid, SampledFunction, sample, write_csv
-from .models import (
-    BasisSpec,
-    DenominatorPositivityError,
-    InfeasibleInitialCoefficientsError,
-    ModelClass,
-    MonotoneOuter,
-)
-from .oscillation import (
-    check_rational_optimality,
-    compute_defect,
-    effective_degree,
-    extract_alternations,
-    required_count,
-)
+# The fitting pipeline's names this module uses, by defining module (see `_fit_pipeline`).
+_FIT_PIPELINE = {
+    "bisection": ("FitError", "fit"),
+    "expr": ("EvaluationError", "ExprError", "parse"),
+    "grid": ("Grid", "SampledFunction", "sample", "write_csv"),
+    "models": ("BasisSpec", "DenominatorPositivityError", "InfeasibleInitialCoefficientsError", "ModelClass",
+               "MonotoneOuter"),
+    "oscillation": ("check_rational_optimality", "compute_defect", "effective_degree", "extract_alternations",
+                    "required_count"),
+}
+_FIT_NAMES = frozenset(name for names in _FIT_PIPELINE.values() for name in names)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,15 +58,37 @@ class ConfigError(ValueError):
     pass
 
 
-# What `main` makes of an exception from a command, first match wins:
-# (classes, exit code, error kind); kind None is the command's own kind for
-# bad input, "config" for `fit` and "input" for `verify` and `convexity`.
-_FAILURES = (
-    (InfeasibleInitialCoefficientsError, EXIT_INFEASIBLE, "infeasible_start"),
-    ((FitError, DenominatorPositivityError), EXIT_NUMERICAL, "solver"),
-    (EvaluationError, EXIT_CONFIG, "evaluation"),
-    ((OSError, ValueError, KeyError, TypeError, MemoryError), EXIT_CONFIG, None),
-)
+@cache
+def _fit_pipeline() -> None:
+    """Import the fitting pipeline and bind the names of `_FIT_PIPELINE` here, once.
+
+    A name already set (by a monkeypatch, say) is left as it is.
+    """
+    for module, names in _FIT_PIPELINE.items():
+        loaded = __import__(f"{__package__}.{module}", fromlist=names)  # shows in `python -X importtime`
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str) -> Any:
+    if name in _FIT_NAMES:
+        _fit_pipeline()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@cache
+def _failures() -> tuple:
+    """What `main` makes of an exception from a command, first match wins:
+    (classes, exit code, error kind); kind None is the command's own kind for
+    bad input, "config" for `fit` and "input" for `verify` and `convexity`."""
+    _fit_pipeline()
+    return (
+        (InfeasibleInitialCoefficientsError, EXIT_INFEASIBLE, "infeasible_start"),
+        ((FitError, DenominatorPositivityError), EXIT_NUMERICAL, "solver"),
+        (EvaluationError, EXIT_CONFIG, "evaluation"),
+        ((OSError, ValueError, KeyError, TypeError, MemoryError), EXIT_CONFIG, None),
+    )
 
 
 def _is_number(v: Any) -> bool:
@@ -102,6 +123,7 @@ def _get(obj: dict, key: str, kind: str, default: Any = _REQUIRED) -> Any:
 
 
 def _build_model(config: dict) -> tuple[ModelClass, Any, Grid]:
+    _fit_pipeline()
     variables = _get(config, "variables", "strings")
     grid_cfg = _get(config, "grid", "object")
     model_cfg = _get(config, "model", "object")
@@ -163,6 +185,7 @@ def _surface(fh: TextIO) -> tuple[list[np.ndarray], np.ndarray]:
 
 
 def cmd_fit(config_path: str) -> int:
+    _fit_pipeline()
     config = _read(config_path, "config", json.load)
     if not isinstance(config, dict):
         raise ConfigError(f"config {config_path} is not a JSON object")
@@ -217,6 +240,7 @@ def _effective_degree(result: dict, part: str) -> int:
     degree add up.  In a result without a config a coefficient's degree is
     its position.
     """
+    _fit_pipeline()
     values = _get(_get(result, "coefficients", "object", {}), part, "numbers", [])  # null in an affine result
     config = _get(result, "config", "object", None)
     if config is None:
@@ -237,6 +261,7 @@ def _effective_degree(result: dict, part: str) -> int:
 
 
 def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
+    _fit_pipeline()
     result = _read(result_path, "result", json.load)
     if not isinstance(result, dict):
         raise ConfigError(f"result {result_path} is not a JSON object")
@@ -263,6 +288,8 @@ def cmd_verify(result_path: str, n: int, m: int | None, tau: float) -> int:
 
 
 def cmd_convexity(sub: str, path: str, query: str | None) -> int:
+    from . import axiomatic
+
     text = _read(path, "input", lambda fh: fh.read())
     if sub == "extension":
         table = axiomatic.parse_function_table_csv(text)
@@ -320,7 +347,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_verify(args.result, args.n, args.m, args.tau)
         return cmd_convexity(args.sub, args.file, args.query)
     except Exception as exc:
-        for classes, code, kind in _FAILURES:
+        for classes, code, kind in _failures():
             if isinstance(exc, classes):
                 log.debug("%s failed", args.command, exc_info=True)
                 kind = kind or ("config" if args.command == "fit" else "input")

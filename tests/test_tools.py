@@ -64,6 +64,16 @@ def test_bench_pairs_reads_the_host_kernel_median_from_a_run_record(tmp_path):
         bench_pairs.host_kernel_ms(tmp_path, "coarse-to-fine", 4)
 
 
+def test_bench_pairs_sees_whether_runs_wrote_bytecode(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text("")
+    assert not bench_pairs.wrote_bytecode(tmp_path)
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir()
+    assert not bench_pairs.wrote_bytecode(tmp_path)  # an empty cache directory holds no bytecode
+    (tmp_path / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"")
+    assert bench_pairs.wrote_bytecode(tmp_path)
+
+
 @pytest.mark.parametrize(
     "classname, name, node",
     [

@@ -14,7 +14,8 @@ BENCH_<label>.json at the root of the working tree with, per workload and
 end-to-end metric, each side's runs, median and quartiles, the median's
 relative change, the pairs the change won (was better in) and a verdict
 against the metric's bound (see `compare`), together with the CPU count,
-the Python and numpy versions and both checkout directories. Per workload
+the Python and numpy versions, whether each side's runs wrote bytecode
+(see `wrote_bytecode`) and both checkout directories. Per workload
 it also keeps each side's host-kernel medians, one per run (see
 `host_kernel_ms`), which tell a slower host from a slower change. Standard
 library only.
@@ -104,6 +105,16 @@ def compare(base: list[dict], change: list[dict], metric: dict) -> dict:
     return out
 
 
+def wrote_bytecode(checkout: Path) -> bool:
+    """Whether runs in the checkout left compiled bytecode behind.
+
+    Neither copy starts with a `__pycache__`, so a run that writes none (as
+    under PYTHONDONTWRITEBYTECODE) compiles every module it imports from
+    source, and that compile time is part of its `setup_s`.
+    """
+    return any(checkout.rglob("__pycache__/*.pyc"))
+
+
 def environment(python: str) -> dict:
     probe = "import sys, numpy; print(sys.version.split()[0], numpy.__version__)"
     version, numpy = subprocess.run([python, "-c", probe], capture_output=True, text=True,
@@ -147,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"seed {seed} {w} {side}: " + ", ".join(
                         f"{k}={v['value']:.4g}" for k, v in res["metrics"].items())
                         + f", host_kernel_ms={res['host_kernel_ms']:.4g}", flush=True)
+        bytecode = {side: wrote_bytecode(checkout) for side, checkout in sides.items()}
 
     report = {
         "base": {"rev": args.base, "commit": commit, "checkout": str(sides["base"])},
@@ -154,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "seconds": bench["run_seconds"],
         "order": "odd seeds run the base first, even seeds the change",
-        "environment": environment(command[0]),
+        "environment": {**environment(command[0]), "wrote_bytecode": bytecode},
         "workloads": {},
     }
     for w, by_side in runs.items():
