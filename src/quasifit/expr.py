@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .worker import WORKER
+from . import worker
 
 __all__ = [
     "Expression",
@@ -392,10 +392,10 @@ def power(base: float | np.ndarray, exponent: float) -> np.ndarray:
     `evaluate` reports that as an error, `power` does not.
 
     A base of `_SPLIT_POWER` elements or more is split in two along its
-    longest axis, and `worker.WORKER` computes one half while the caller
-    computes the other, each under its own `errstate` (numpy's error state
-    is per thread).  Each element still gets its own libm call, so the
-    result is bitwise the one-call result.
+    longest axis, and the worker thread (`worker.submit`) computes one half
+    while the caller computes the other, each under its own `errstate`
+    (numpy's error state is per thread).  Each element still gets its own
+    libm call, so the result is bitwise the one-call result.
     """
     base, exponent = np.asarray(base, dtype=float), float(exponent)
     if base.size < _SPLIT_POWER:
@@ -405,7 +405,7 @@ def power(base: float | np.ndarray, exponent: float) -> np.ndarray:
     middle = base.shape[axis] // 2
     head = (slice(None),) * axis
     first, second = head + (slice(None, middle),), head + (slice(middle, None),)
-    job = WORKER.submit(_float_power, base[second], exponent, out[second])
+    job = worker.submit(_float_power, base[second], exponent, out[second])
     try:
         _float_power(base[first], exponent, out[first])
     finally:

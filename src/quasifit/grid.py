@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
+from . import worker
 from .expr import EvaluationError, Expression, _evaluator, _product
 from .floattext import WIDTH, repr_bytes
-from .worker import WORKER
 
 __all__ = ["Grid", "SampledFunction", "enumerate_points", "evaluate_columns", "sample", "export_csv", "write_csv"]
 
@@ -174,17 +175,17 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
     axes after it have points.  A block copies the axis's cells as one
     slice of that period, tiled to a block past it but never past the
     table's rows, or else, where the period is longer than a block and its
-    runs longer than a row, run by run, each broadcast from its one text;
-    a table of one block broadcasts every run at once.  A later block with
-    no value columns formats nothing.
+    runs longer than a row, run by run, each broadcast from its one text.
+    A later block with no value columns formats nothing.
 
-    While the caller formats the next block, `worker.WORKER` compresses
-    and writes the one in the slots; the caller waits for that write before
-    it fills the slots again, which costs no time, as formatting a block
-    takes several times as long.  The caller writes the last block itself,
-    so a one-block table never leaves the calling thread.  The bytes and
-    their order are those of a row-by-row writer.  When a write raises,
-    nothing is written after it, and `write_csv` raises that exception.
+    While the caller formats the next block, the worker thread
+    (`worker.submit`) compresses and writes the one in the slots; the
+    caller waits for that write before it fills the slots again, which
+    costs no time, as formatting a block takes several times as long.  The
+    caller writes the last block itself, so a one-block table never leaves
+    the calling thread.  The bytes and their order are those of a
+    row-by-row writer.  When a write raises, nothing is written after it,
+    and `write_csv` raises that exception.
     """
     names = [f"x{i + 1}" for i in range(points.shape[1])]
     out.write(",".join(names + list(columns)) + "\n")
@@ -214,12 +215,12 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
             for j, axis in axis_cells:
                 axis.fill(block[:, slot[j]], start)
             if start + rows < n:
-                job = WORKER.submit(_write_block, out, block)
+                job = worker.submit(_write_block, out, block)
             else:
                 _write_block(out, block)
     finally:  # the worker touches neither `out` nor the slots once `write_csv` returns or raises
         if job is not None:
-            job.wait()
+            wait([job])
 
 
 def _csv_slots(axis_texts: np.ndarray, repeated: list, columns: int, rows: int) -> tuple:
@@ -245,9 +246,7 @@ class _AxisCells:
     def __init__(self, texts: np.ndarray, run: int, rows: int):
         self.run, self.period = run, run * len(texts)
         self.texts = self.table = None
-        if rows <= _CSV_BLOCK_ROWS:  # one block: its runs at once
-            self.texts = texts
-        elif run == 1 or self.period <= _CSV_BLOCK_ROWS:  # the table is at most an axis and a block long
+        if run == 1 or self.period <= _CSV_BLOCK_ROWS:  # the table is at most an axis and a block long
             tiled = min(rows, self.period - 1 + _CSV_BLOCK_ROWS)
             self.table = np.resize(np.repeat(texts, run, axis=0), (tiled, texts.shape[1]))
         else:
@@ -258,12 +257,10 @@ class _AxisCells:
         if self.table is not None:
             first = start % self.period
             cells[...] = self.table[first : first + len(cells)]
-        elif len(cells) < self.period:  # a block within a longer period
+        else:  # a block within a longer period
             run = self.run
             for r in range(start // run, (start + len(cells) - 1) // run + 1):
                 cells[max(r * run - start, 0) : (r + 1) * run - start] = self.texts[r % len(self.texts)]
-        else:  # the table's one block: whole periods
-            cells.reshape(-1, len(self.texts), self.run, cells.shape[1])[...] = self.texts[:, None]
 
 
 def _write_block(out: TextIO, block: np.ndarray) -> None:

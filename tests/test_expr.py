@@ -383,8 +383,8 @@ def test_power_split_across_threads_is_the_one_call_power(size, exponent, monkey
     # negative bases at 1/3 give nan, 1e200 cubed overflows to ±inf, and a zero at a negative
     # exponent gives ±inf; none of it may warn in either thread, as warnings are errors here
     submitted = []
-    submit = quasifit.expr.WORKER.submit
-    monkeypatch.setattr(quasifit.expr.WORKER, "submit", lambda *args: submitted.append(args) or submit(*args))
+    submit = quasifit.worker.submit
+    monkeypatch.setattr(quasifit.worker, "submit", lambda *args: submitted.append(args) or submit(*args))
     for name, bases in _layouts(_split_power_bases(size)).items():
         with np.errstate(all="ignore"):
             expected = np.float_power(bases, exponent)

@@ -378,8 +378,8 @@ def test_write_csv_reads_an_axis_table_to_its_last_row():
 @pytest.mark.parametrize("rows", [1, _B, _B + 1, 3 * _B + 1])
 def test_write_csv_hands_the_worker_every_block_but_the_last(rows, monkeypatch):
     submitted = []
-    submit = quasifit.grid.WORKER.submit
-    monkeypatch.setattr(quasifit.grid.WORKER, "submit", lambda *args: submitted.append(args) or submit(*args))
+    submit = quasifit.worker.submit
+    monkeypatch.setattr(quasifit.worker, "submit", lambda *args: submitted.append(args) or submit(*args))
     table = _tricky_table(np.random.default_rng(rows), rows, 3)
     _assert_same_text(_csv_text(write_csv, table[:, :2], {"f": table[:, 2]}),
                       _csv_text(_reference_write_csv, table[:, :2], {"f": table[:, 2]}))
