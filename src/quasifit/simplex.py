@@ -260,13 +260,14 @@ def solve(lp: LinearProgram, start: np.ndarray | LpSolution | None = None) -> Lp
     status, basis = _solve_dual(G, h, c, max_iterations, start, carried)
     if status == OPTIMAL:
         B = basis.index
+        rows = sorted(B.tolist())  # the point depends on the basis, not on the order the pivots left it in
         if B.size == n:
             try:
-                x = np.linalg.solve(G[B], h[B])
+                x = np.linalg.solve(G[rows], h[rows])
             except np.linalg.LinAlgError:  # the ratio test let a near-zero pivot through
                 return LpSolution(NUMERICAL_FAILURE, iterations=basis.iterations)
             return LpSolution(OPTIMAL, x, float(c @ x), basis.iterations, B.copy(), basis)
-        x = np.linalg.lstsq(G[B], h[B], rcond=None)[0]
+        x = np.linalg.lstsq(G[rows], h[rows], rcond=None)[0]
         return LpSolution(OPTIMAL, x, float(c @ x), basis.iterations)
     if status == UNBOUNDED:
         return LpSolution(INFEASIBLE, iterations=basis.iterations)
