@@ -14,7 +14,10 @@ Consecutive level LPs differ only in hi and lo, so each level's solve starts
 from the optimal basis of the one before.  For an affine model the dual's
 feasible region does not depend on z, and that basis is always a feasible
 start; for a rational one it moves with z only through the denominator
-columns, and `solve` starts from scratch when the basis is no longer feasible.
+columns.  When the basis is no longer feasible there, `solve` swaps in the
+floor row u >= -1, which is -c and so makes a feasible basis of it, and
+goes on from that instead of from phase one; either way the point returned
+depends only on the optimal basis, so the fit does not depend on the path.
 Each level hands `solve` the last level's solution, whose factorised basis
 it reuses when the basis rows did not change and no pivot updated the
 inverse.  An affine level's rows never change, so it refactors only after

@@ -21,6 +21,8 @@ last floor row u >= -1 keeps a deeply feasible level bounded.  Only
 hi = phi_inv(f + z) and lo = phi_inv(f - z) depend on z: a fit builds one
 `LevelProblem`, which evaluates the bases and lays out and validates its one
 LP once, and `build_feasibility_lp` writes hi and lo into it for each level.
+The rows are laid out column-major, so that the solver's pricing pass G v
+reads each coefficient's column as one contiguous run.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ class LevelProblem:
 
     Evaluates G (and H) on the sample points, lays out the writable `rows`
     and `rhs`, and validates `lp`, the read-only LP over them; an affine
-    model is laid out as a rational one with denominator 1 and no free
-    denominator column.
+    model is laid out as a rational one with denominator 1 (`den_fixed` is
+    None) and no free denominator column.
     """
 
     def __init__(self, model: ModelClass, f: SampledFunction):
@@ -90,7 +92,7 @@ class LevelProblem:
         self.values = f.values
         self.den_columns = slice(n_g, n_free)
         self.block = 2 if model.denominator is None else 3
-        self.rows = np.zeros((self.block * n_pts + 1, n_free + 1))
+        self.rows = np.zeros((self.block * n_pts + 1, n_free + 1), order="F")  # column-major, see above
         self.rhs = np.zeros(self.block * n_pts + 1)
         level = self.rows[:-1]
         # A.G(x) - hi * B.H(x) <= u, then lo * B.H(x) - A.G(x) <= u; u only
@@ -102,7 +104,7 @@ class LevelProblem:
         self.rows[:, -1] = -1.0
         self.rhs[-1] = 1.0
         if model.denominator is None:
-            self.den_fixed = np.ones(n_pts)
+            self.den_fixed = None
             self.h_free = np.zeros((n_pts, 0))
         else:
             hmat = basis_matrix(model.denominator, model.variables, pts)
@@ -130,17 +132,22 @@ def build_feasibility_lp(problem: LevelProblem, z: float) -> LinearProgram:
     """
     if z < 0:
         raise ValueError("level z must be nonnegative")
-    k, rows, rhs = problem.block, problem.rows, problem.rhs
+    k, rows, rhs, n = problem.block, problem.rows, problem.rhs, problem.values.size
     # f +- z and the products can overflow, and an infinite bound times a
     # zero of H is nan; the check below reports either as one error
     with np.errstate(over="ignore", invalid="ignore"):
-        hi = problem.model.outer.inverse(problem.values + z)
-        lo = problem.model.outer.inverse(problem.values - z)
-        rhs[0:-1:k] = hi * problem.den_fixed
-        rhs[1:-1:k] = -lo * problem.den_fixed
+        bounds = problem.model.outer.inverse(np.concatenate((problem.values + z, problem.values - z)))
+        hi, lo = bounds[:n], bounds[n:]
+        if problem.den_fixed is None:  # the denominator is 1
+            rhs[0:-1:k] = hi
+            rhs[1:-1:k] = -lo
+        else:
+            rhs[0:-1:k] = hi * problem.den_fixed
+            rhs[1:-1:k] = -lo * problem.den_fixed
         if problem.h_free.size:
             rows[0:-1:k, problem.den_columns] = -hi[:, None] * problem.h_free
             rows[1:-1:k, problem.den_columns] = lo[:, None] * problem.h_free
-    if not (np.isfinite(rhs).all() and np.isfinite(rows[:, problem.den_columns]).all()):
+    if not (np.isfinite(rhs).all()
+            and (problem.h_free.size == 0 or np.isfinite(rows[:, problem.den_columns]).all())):
         raise ValueError(f"the bounds of level z={z!r} are not finite")
     return problem.lp

@@ -28,6 +28,20 @@ That inverse is then bitwise the one a fresh factor computes, so the
 pivots, and every result, are those of a start from the basis's indices;
 otherwise the basis is factored afresh.
 
+A well-conditioned start with a negative dual value is not dropped for
+phase one when some row k of G equals -c, as the floor row u >= -1 of a
+level LP does.  Row k enters in place of the basic row r with the largest
+|B^-1 g_k|: since g_k = -c is the right-hand side itself, the basic values
+of the new basis are e_r, which are feasible whatever the old ones were,
+and the largest entry is the largest pivot the swap can take (a crash
+basis, Bixby, ORSA J. Comput. 4, 1992).  The new basis is factored and
+checked as any start, and phase two runs from it; phase one remains for a
+first solve, a (nearly) singular start, c = 0 and LPs without such a row.
+
+At the optimum the point v is solved from the basis rows in ascending
+index order, not in the order the pivots left them, so it depends on the
+optimal basis alone: two paths to the same basis give the same bits.
+
 Verdicts follow from duality.  An unbounded dual means an infeasible
 primal.  An infeasible dual means the primal is unbounded or infeasible;
 the dual with c = 0 is always feasible and is bounded exactly when the
@@ -100,7 +114,7 @@ class _Basis:
             self.B[art, np.flatnonzero(~real)] = self.sign[art]
         self.inv = np.linalg.inv(self.B)
         self.updates = 0
-        self.usable = None  # the start verdict of `start`, computed when first asked
+        self.conditioned = self.feasible = None  # the verdicts of `start`, computed when first asked
 
     def pivot(self, r: int, j: int, d: np.ndarray) -> None:
         """Column j enters at row r, where d = B^-1 (column j) and d[r] > 0.
@@ -134,10 +148,11 @@ class _Basis:
     @classmethod
     def start(cls, G: np.ndarray, b: np.ndarray, index: np.ndarray,
               carried: "_Basis | None" = None) -> "_Basis | None":
-        """The rows `index` of G as a basis; None when they are (nearly)
-        singular or their basic values are not >= 0.  `carried`, a basis of an
-        earlier solve, is taken over with its factorisation and its verdict
-        when `reuse` allows, and otherwise left as it is."""
+        """The rows `index` of G as a basis, with `feasible` telling whether
+        its basic values are >= 0; None when they are (nearly) singular.
+        `carried`, a basis of an earlier solve, is taken over with its
+        factorisation and its verdicts when `reuse` allows, and otherwise
+        left as it is."""
         if carried is not None and carried.reuse(G, b, index):
             basis = carried
         else:
@@ -145,11 +160,11 @@ class _Basis:
                 basis = cls(G, b, index.copy())
             except np.linalg.LinAlgError:
                 return None
-        if basis.usable is None:
+        if basis.conditioned is None:
             cond = np.abs(basis.B).sum(axis=0).max() * np.abs(basis.inv).sum(axis=0).max()  # in the 1-norm
-            feasible = (basis.inv @ b).min() >= -_FEAS_TOL * (1.0 + np.abs(b).max())
-            basis.usable = cond < _COND_MAX and feasible
-        return basis if basis.usable else None
+            basis.conditioned = cond < _COND_MAX
+            basis.feasible = (basis.inv @ b).min() >= -_FEAS_TOL * (1.0 + np.abs(b).max())
+        return basis if basis.conditioned else None
 
     def run(self, cost: np.ndarray, max_iterations: int) -> tuple[str, float]:
         """Minimise cost.y from the current basis; the artificials are priced
@@ -208,13 +223,43 @@ class _Basis:
             self.factor()
 
 
+def _row_equal_to(G: np.ndarray, b: np.ndarray) -> int | None:
+    """The lowest index of a row of G equal to b, or None; one column at a time over the rows still equal."""
+    rows = np.flatnonzero(G[:, 0] == b[0])
+    for j in range(1, b.size):
+        rows = rows[G[rows, j] == b[j]]
+    return int(rows[0]) if rows.size else None
+
+
+def _feasible_start(G: np.ndarray, b: np.ndarray, start: np.ndarray, carried: _Basis | None) -> _Basis | None:
+    """A feasible basis of  G^T y = b, y >= 0  from the rows `start` (factorised
+    as `carried`, when given), or None.
+
+    When those rows are well conditioned but a basic value is negative, and a
+    row k of G equals b, row k takes the place of the largest |B^-1 g_k|.
+    Since g_k = b, the new basis has the basic values e_r, feasible whatever
+    the old ones were; it is factored and checked as any start.
+    """
+    basis = _Basis.start(G, b, start, carried)
+    if basis is None or basis.feasible:
+        return basis
+    k = _row_equal_to(G, b)
+    if k is None:
+        return None
+    index = basis.index.copy()
+    index[np.argmax(np.abs(basis.inv @ b))] = k
+    basis = _Basis.start(G, b, index)
+    return basis if basis is not None and basis.feasible else None
+
+
 def _solve_dual(
     G: np.ndarray, h: np.ndarray, c: np.ndarray, max_iterations: int, start: np.ndarray | None = None,
     carried: _Basis | None = None,
 ) -> tuple[str, _Basis]:
     """min h.y s.t. G^T y = -c, y >= 0, from `start` (factorised as `carried`,
-    when given) if it is a feasible basis; the status is the dual's own."""
-    basis = None if start is None else _Basis.start(G, -c, start, carried)
+    when given) or the feasible basis `_feasible_start` makes of it, and
+    otherwise from phase one; the status is the dual's own."""
+    basis = None if start is None else _feasible_start(G, -c, start, carried)
     try:
         if basis is None:
             m, n = G.shape
@@ -238,14 +283,16 @@ def solve(lp: LinearProgram, start: np.ndarray | LpSolution | None = None) -> Lp
 
     `start` names one row per variable, for example the `basis` of an
     optimal solution of an LP of the same shape; when those rows make a
-    feasible dual basis of this LP, the solve starts there and skips phase
+    feasible dual basis of this LP, or do after a row equal to -c is
+    swapped in (`_feasible_start`), the solve starts there and skips phase
     one, and otherwise it runs from scratch.  `start` may also be such a
     solution itself: the solve then also reuses its factorised basis when
     that is bitwise the one a fresh factor would give (`_Basis.reuse`), so
     the pivots are those of a start from its `basis`.  After 20000 + 200 (m + n)
     pivots in all the solve gives up with a numerical failure.
     Deterministic: identical input yields an identical pivot path, solution
-    and iteration count.
+    and iteration count, and the solution depends on the optimal basis only,
+    not on the path to it.
     """
     G, h, c = lp.rows, lp.rhs, lp.objective
     m, n = lp.row_count, lp.variable_count

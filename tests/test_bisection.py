@@ -557,12 +557,13 @@ def test_reused_factorisations_give_the_fit_of_index_starts(name):
     assert _bits(fit(model, f, epsilon=eps)) == _bits(indexed)
 
 
-@pytest.mark.parametrize("name, factors", [("benchmark_affine_cubed", 10), ("benchmark_rational_cubed", 47),
+@pytest.mark.parametrize("name, factors", [("benchmark_affine_cubed", 10), ("benchmark_rational_cubed", 39),
                                            ("x^5", 4)])
 def test_fit_factors_a_basis_only_when_it_changed(monkeypatch, name, factors):
     # affine levels share their rows, so a level refactors only after
     # pivots; a rational level rewrites the denominator columns of its level
-    # rows, so nearly every level does
+    # rows, so nearly every level does, and a level whose carried basis is
+    # no longer feasible factors it once more with the floor row swapped in
     model, f, eps = _benchmark(name)
     calls = []
     factor = simplex._Basis.factor
@@ -575,6 +576,30 @@ def test_fit_factors_a_basis_only_when_it_changed(monkeypatch, name, factors):
     res = fit(model, f, epsilon=eps)
     assert res.iterations == expected_iterations(float(np.max(np.abs(f.values))), eps)
     assert len(calls) == factors
+
+
+def test_rational_benchmark_restarts_from_the_floor_row():
+    # four levels find the carried basis infeasible and restart from the
+    # floor row instead of phase one: 81 pivots, against 137 through phase one
+    model, f, eps = _benchmark("benchmark_rational_cubed")
+    assert sum(t.pivots for t in fit(model, f, epsilon=eps).trace) == 81
+
+
+def test_restarts_give_the_fit_of_phase_one(monkeypatch):
+    # with no floor row to swap in, every infeasible start runs phase one; the
+    # path is longer, but the optimal bases, and so every output bit, are the same
+    model, f, eps = _benchmark("benchmark_rational_cubed")
+    restarted = fit(model, f, epsilon=eps)
+    monkeypatch.setattr(simplex, "_row_equal_to", lambda G, b: None)
+    phase_one = fit(model, f, epsilon=eps)
+    assert sum(t.pivots for t in phase_one.trace) > sum(t.pivots for t in restarted.trace)
+
+    def unpivoted(result):
+        *bits, trace = _bits(result)
+        return bits, [entry[:3] for entry in trace]  # z, verdict and LP objective of each level
+
+    assert unpivoted(restarted) == unpivoted(phase_one)
+    assert restarted.model_values.tobytes() == phase_one.model_values.tobytes()
 
 
 def test_every_level_starts_from_a_fresh_inverse(monkeypatch):

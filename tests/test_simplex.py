@@ -439,3 +439,64 @@ def test_no_reuse_for_another_objective(monkeypatch):
     carried = solve(steeper, start=first)
     assert calls[0] >= 1
     _same_solve(carried, solve(steeper, start=first.basis))
+
+
+@pytest.mark.parametrize("name", ["benchmark_affine_cubed", "benchmark_rational_cubed"])
+def test_permuted_optimal_basis_gives_the_same_solution(name):
+    # the point is solved on the basis rows in index order, so it does not
+    # depend on the order in which the pivots left them; a level LP's rows
+    # repeat magnitudes (+-1, the u column), where LU's pivoting would
+    # otherwise follow the row order
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    config = json.loads((configs / f"{name}.json").read_text())
+    config["grid"]["step"] = [0.25, 0.25]
+    model, target, grid = cli._build_model(config)
+    problem = LevelProblem(model, sample(target, grid, model.variables))
+    rng = np.random.default_rng(5)
+    for z in (2.0, 6.0, 9.0, 12.0):
+        lp = build_feasibility_lp(problem, z)
+        cold = solve(lp)
+        for _ in range(4):
+            again = solve(lp, start=rng.permutation(cold.basis))
+            assert again.iterations == 0
+            assert again.solution.tobytes() == cold.solution.tobytes()
+            assert again.objective == cold.objective
+
+
+def _with_floor_row(c, rows, rhs, floor):
+    """The LP with one more row, -c.v <= floor: the objective's floor, as u >= -1 in a level LP."""
+    return _lp(c, np.vstack([rows, -np.asarray(c)]), np.append(rhs, floor))
+
+
+def test_infeasible_start_restarts_from_the_floor_row(monkeypatch):
+    # a start basis whose dual values are not all >= 0 swaps in the row equal
+    # to -c, and phase two goes on from there: the verdict and the optimum
+    # are those of a solve from scratch
+    starts = []
+    start = simplex._Basis.start.__func__
+
+    def recorded(cls, G, b, index, carried=None):
+        basis = start(cls, G, b, index, carried)
+        starts.append(basis is not None and basis.feasible)
+        return basis
+
+    monkeypatch.setattr(simplex._Basis, "start", classmethod(recorded))
+    rng = np.random.default_rng(17)
+    restarts = 0
+    for _ in range(200):
+        c, rows, rhs = random_bounded_instance(rng)
+        floor = rng.uniform(0.1, 3.0)
+        first = solve(_with_floor_row(c, rows, rhs, floor))
+        if first.basis is None:
+            continue
+        c2 = c + 0.3 * rng.normal(size=c.shape)
+        lp = _with_floor_row(c2, rows + 0.3 * rng.normal(size=rows.shape),
+                             rhs + rng.normal(scale=0.3, size=rhs.shape), floor)
+        starts.clear()
+        warm = solve(lp, start=first.basis)
+        restarts += starts == [False, True]
+        cold = solve(lp)
+        assert warm.status == cold.status
+        if cold.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert restarts >= 30  # 40 with this generator

@@ -17,6 +17,7 @@ def _load(name):
 bench_pairs = _load("bench_pairs")
 tier1 = _load("tier1")
 same_outputs = _load("same_outputs")
+large_fits = _load("large_fits")
 
 
 def _runs(values):
@@ -148,3 +149,11 @@ def test_same_outputs_compares_traced_counts():
         "w traced counts['grid.sample_calls']: 3 against None",
         "w traced counts['simplex.pivots']: 188 against 190",
     ]
+
+
+def test_large_fits_prints_one_line_per_config_and_step(capfd):
+    assert large_fits.main(["--step", "0.5"]) == 0
+    lines = [json.loads(line) for line in capfd.readouterr().out.splitlines()]
+    assert [(r["config"], r["step"], r["points"], r["levels"]) for r in lines] == [
+        ("benchmark_affine_cubed", 0.5, 25, 27), ("benchmark_rational_cubed", 0.5, 25, 27)]
+    assert all(r["pivots"] > 0 and r["fit_s"] > 0 and r["max_rss_mb"] > 0 for r in lines)
