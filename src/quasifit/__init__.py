@@ -46,7 +46,7 @@ _EXPORTS = {
     "solve": "simplex",
 }
 _SUBMODULES = ("axiomatic", "bisection", "cli", "expr", "floattext", "grid", "linearize", "models",
-               "oscillation", "simplex", "worker")
+               "oscillation", "simplex")
 
 __all__ = sorted(_EXPORTS)
 

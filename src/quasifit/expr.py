@@ -34,8 +34,6 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from . import worker
-
 __all__ = [
     "Expression",
     "Const",
@@ -390,33 +388,6 @@ def power(base: float | np.ndarray, exponent: float) -> np.ndarray:
     its SIMD loop can differ from libm in the last bit, which would move
     fitted coefficients.  Where the result overflows it is ±inf, as in C;
     `evaluate` reports that as an error, `power` does not.
-
-    A base of `_SPLIT_POWER` elements or more is split in two along its
-    longest axis, and the worker thread (`worker.submit`) computes one half
-    while the caller computes the other, each under its own `errstate`
-    (numpy's error state is per thread).  Each element still gets its own
-    libm call, so the result is bitwise the one-call result.
     """
-    base, exponent = np.asarray(base, dtype=float), float(exponent)
-    if base.size < _SPLIT_POWER:
-        return _float_power(base, exponent)
-    out = np.empty(base.shape)
-    axis = int(np.argmax(base.shape))
-    middle = base.shape[axis] // 2
-    head = (slice(None),) * axis
-    first, second = head + (slice(None, middle),), head + (slice(middle, None),)
-    job = worker.submit(_float_power, base[second], exponent, out[second])
-    try:
-        _float_power(base[first], exponent, out[first])
-    finally:
-        job.result()
-    return out
-
-
-# 2**15 pows take about 1.2 ms on a 2-CPU host, and split about 0.7 ms; 160,801 take 5.7 ms, and split 3.2 ms
-_SPLIT_POWER = 1 << 15
-
-
-def _float_power(base: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
     with np.errstate(all="ignore"):
-        return np.float_power(base, exponent, out=out)
+        return np.float_power(np.asarray(base, dtype=float), float(exponent))

@@ -9,22 +9,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import wait
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from . import worker
 from .expr import EvaluationError, Expression, _evaluator, _product
 from .floattext import WIDTH, repr_bytes
 
 __all__ = ["Grid", "SampledFunction", "enumerate_points", "evaluate_columns", "sample", "export_csv", "write_csv"]
 
 # rows per block of CSV output: every temporary of the writer has this many
-# rows, never a whole column; a block's slots and the worker's compress of
-# them, with the next block's texts in the making, stay under 2 MB on a
-# 160,801-point grid
+# rows, never a whole column; a block's texts, then its slots and their
+# compress, stay under 2 MB on a 160,801-point grid
 _CSV_BLOCK_ROWS = 3072
 
 
@@ -178,14 +175,9 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
     runs longer than a row, run by run, each broadcast from its one text.
     A later block with no value columns formats nothing.
 
-    While the caller formats the next block, the worker thread
-    (`worker.submit`) compresses and writes the one in the slots; the
-    caller waits for that write before it fills the slots again, which
-    costs no time, as formatting a block takes several times as long.  The
-    caller writes the last block itself, so a one-block table never leaves
-    the calling thread.  The bytes and their order are those of a
-    row-by-row writer.  When a write raises, nothing is written after it,
-    and `write_csv` raises that exception.
+    The bytes and their order are those of a row-by-row writer.  When a
+    write raises, nothing is written after it, and `write_csv` raises that
+    exception.
     """
     names = [f"x{i + 1}" for i in range(points.shape[1])]
     out.write(",".join(names + list(columns)) + "\n")
@@ -195,32 +187,22 @@ def write_csv(out: TextIO, points: np.ndarray, columns: Mapping[str, np.ndarray]
     repeated = [(j, a.reshape(-1), math.prod(counts[j + 1 :])) for j, a in enumerate(axes.values()) if a.size < n]
     whole = [(j, a.reshape(-1)) for j, a in enumerate(axes.values()) if a.size == n]
     whole += [(len(names) + j, np.asarray(c, dtype=float)) for j, c in enumerate(columns.values())]
-    job = None  # the worker's write of the block in the slots
-    try:
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            rows = min(n - start, _CSV_BLOCK_ROWS)
-            cells = [c[start : start + rows] for _, c in whole]
-            if start == 0:  # the axes' values go into the first block's call
-                cells += [a for _, a, _ in repeated]
-            # a later block of a grid with no value columns has only axis texts
-            texts = repr_bytes(np.concatenate(cells)) if cells else None
-            if start == 0:
-                slots, slot, axis_cells = _csv_slots(texts[rows * len(whole) :], repeated, len(names) + len(columns), n)
-            if job is not None:  # a failed write raises here, before anything more is written
-                job.result()
-            block = slots[:rows]
-            for i, (j, _) in enumerate(whole):
-                block[:, slot[j]] = texts[i * rows : (i + 1) * rows]
-            del texts  # not held while the next block's are made
-            for j, axis in axis_cells:
-                axis.fill(block[:, slot[j]], start)
-            if start + rows < n:
-                job = worker.submit(_write_block, out, block)
-            else:
-                _write_block(out, block)
-    finally:  # the worker touches neither `out` nor the slots once `write_csv` returns or raises
-        if job is not None:
-            wait([job])
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        rows = min(n - start, _CSV_BLOCK_ROWS)
+        cells = [c[start : start + rows] for _, c in whole]
+        if start == 0:  # the axes' values go into the first block's call
+            cells += [a for _, a, _ in repeated]
+        # a later block of a grid with no value columns has only axis texts
+        texts = repr_bytes(np.concatenate(cells)) if cells else None
+        if start == 0:
+            slots, slot, axis_cells = _csv_slots(texts[rows * len(whole) :], repeated, len(names) + len(columns), n)
+        block = slots[:rows]
+        for i, (j, _) in enumerate(whole):
+            block[:, slot[j]] = texts[i * rows : (i + 1) * rows]
+        del texts  # not held while the block is compressed
+        for j, axis in axis_cells:
+            axis.fill(block[:, slot[j]], start)
+        out.write(str(block[block > 0], "ascii"))
 
 
 def _csv_slots(axis_texts: np.ndarray, repeated: list, columns: int, rows: int) -> tuple:
@@ -261,8 +243,3 @@ class _AxisCells:
             run = self.run
             for r in range(start // run, (start + len(cells) - 1) // run + 1):
                 cells[max(r * run - start, 0) : (r + 1) * run - start] = self.texts[r % len(self.texts)]
-
-
-def _write_block(out: TextIO, block: np.ndarray) -> None:
-    """A block's texts, their padding dropped, as one string."""
-    out.write(str(block[block > 0], "ascii"))

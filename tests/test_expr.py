@@ -358,7 +358,7 @@ def test_power_is_libm_pow_on_ordinary_bases(exponent):
     assert np.array_equal(power(bases, exponent).view(np.int64), expected.view(np.int64))
 
 
-def _split_power_bases(size):
+def _power_bases(size):
     """Ordinary bases, and among them negative ones, both zeros, and some whose third power overflows."""
     rng = np.random.default_rng(size)
     special = np.array([-8.0, -1e-300, 0.0, -0.0, 1e200, -1e200, 5e-324, -5e-324])
@@ -376,22 +376,18 @@ def _layouts(bases):
             "strided": wide[::2]}
 
 
-# below, at and above the size from which the worker computes half of the pows, and an odd size
+# sizes below, at and above 2**15, and an odd size of several times that
 @pytest.mark.parametrize("size", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 3])
 @pytest.mark.parametrize("exponent", [1 / 3, 3, -3, -2])
-def test_power_split_across_threads_is_the_one_call_power(size, exponent, monkeypatch):
+def test_power_is_the_one_call_float_power_bit_for_bit(size, exponent):
     # negative bases at 1/3 give nan, 1e200 cubed overflows to ±inf, and a zero at a negative
-    # exponent gives ±inf; none of it may warn in either thread, as warnings are errors here
-    submitted = []
-    submit = quasifit.worker.submit
-    monkeypatch.setattr(quasifit.worker, "submit", lambda *args: submitted.append(args) or submit(*args))
-    for name, bases in _layouts(_split_power_bases(size)).items():
+    # exponent gives ±inf; none of it may warn, as warnings are errors here
+    for name, bases in _layouts(_power_bases(size)).items():
         with np.errstate(all="ignore"):
             expected = np.float_power(bases, exponent)
         got = power(bases, exponent)
         assert got.shape == bases.shape and got.dtype == np.float64, name
         assert np.array_equal(got.view(np.int64), expected.view(np.int64)), name
-    assert len(submitted) == 4 * (size >= 2**15)
     assert expected.size == size and not np.isfinite(expected).all()
 
 

@@ -343,8 +343,8 @@ def test_write_csv_on_grids_matches_row_by_row_writer(rows, points_kind):
 
 @pytest.mark.parametrize("rows", [_B, 3 * _B + 1])
 def test_write_csv_raises_a_failed_write_and_writes_nothing_after_it(rows):
-    # the header is the first write and the first block the second: on a table of several
-    # blocks it is written beside the caller, and the blocks after it must not be
+    # the header is the first write and the first block the second; on a table of several
+    # blocks the blocks after it must not be written
     table = _tricky_table(np.random.default_rng(rows), rows, 3)
     points, columns = table[:, :2], {"f": table[:, 2]}
 
@@ -373,17 +373,6 @@ def test_write_csv_reads_an_axis_table_to_its_last_row():
     points = np.array(list(itertools.product(*(_with_zeros_and_subnormals(rng, n) for n in (3, _B + 1)))))
     columns = {"f": _with_zeros_and_subnormals(rng, len(points))}
     _assert_same_text(_csv_text(write_csv, points, columns), _csv_text(_reference_write_csv, points, columns))
-
-
-@pytest.mark.parametrize("rows", [1, _B, _B + 1, 3 * _B + 1])
-def test_write_csv_hands_the_worker_every_block_but_the_last(rows, monkeypatch):
-    submitted = []
-    submit = quasifit.worker.submit
-    monkeypatch.setattr(quasifit.worker, "submit", lambda *args: submitted.append(args) or submit(*args))
-    table = _tricky_table(np.random.default_rng(rows), rows, 3)
-    _assert_same_text(_csv_text(write_csv, table[:, :2], {"f": table[:, 2]}),
-                      _csv_text(_reference_write_csv, table[:, :2], {"f": table[:, 2]}))
-    assert len(submitted) == -(-rows // _B) - 1
 
 
 def test_write_csv_holds_a_block_not_a_column():

@@ -82,6 +82,24 @@ def test_fit_and_verify_never_load_the_convexity_toolkit(tmp_path):
     assert "quasifit.axiomatic" not in loaded
 
 
+def test_importing_quasifit_and_a_fine_fit_start_no_thread(tmp_path):
+    # on a 201 x 201 grid the surface spans 14 CSV blocks, and the target's powers have 40,401 elements
+    config = json.loads((CONFIGS / "benchmark_affine_cubed.json").read_text())
+    config["grid"]["step"] = [0.01, 0.01]
+    (tmp_path / "fine.json").write_text(json.dumps(config))
+    code = """import sys, threading
+import quasifit.grid, quasifit.expr
+print(threading.active_count())
+from quasifit.cli import main
+assert main(["fit", "fine.json"]) == 0
+print(threading.active_count(), "concurrent.futures" in sys.modules)"""
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "1" and proc.stdout.splitlines()[-1] == "1 False"
+    surface = (tmp_path / config["output"]["surface_path"]).read_text()
+    assert surface.count("\n") == 1 + 201**2
+
+
 def test_every_public_name_is_its_defining_modules_own_object():
     assert set(quasifit.__all__) == PUBLIC
     listed = dir(quasifit)
