@@ -376,10 +376,11 @@ def _layouts(bases):
             "strided": wide[::2]}
 
 
-# sizes below, at and above 2**15, and an odd size of several times that
+# below, at and above 2**15, from which power once split its pows across two threads, and an
+# odd size of several times that; whatever power does inside, its bits are the one call's
 @pytest.mark.parametrize("size", [2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 3])
 @pytest.mark.parametrize("exponent", [1 / 3, 3, -3, -2])
-def test_power_is_the_one_call_float_power_bit_for_bit(size, exponent):
+def test_power_split_across_threads_is_the_one_call_power(size, exponent):
     # negative bases at 1/3 give nan, 1e200 cubed overflows to ±inf, and a zero at a negative
     # exponent gives ±inf; none of it may warn, as warnings are errors here
     for name, bases in _layouts(_power_bases(size)).items():
